@@ -21,7 +21,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import CovarianceError, DimensionError, SubtractionUndefinedError
 from .gaussian import (
     _check_symmetric,
     gaussian_purity,
+    is_pure,
     reduce_to_mode,
-    symplectic_eigenvalues,
 )
 from .phase_space import (
     apply_j,
@@ -47,10 +47,18 @@ from .photon_ops import (
     evaluate_wigner,
     mean_photon_number,
     nongaussian_wigner,
+    require_photons,
 )
 
 #: Subtraction draws below this mean photon number are resampled in scans.
 SCAN_PHOTON_TOL = 1e-10
+
+#: Purities closer than this count as equal when deciding whether a photon
+#: operation lowered the purity; supermodes give ``mu = mu0`` up to rounding.
+PURITY_TIE_TOL = 1e-12
+
+#: Witness threshold per operation kind (see :func:`negativity_witness`).
+WITNESS_THRESHOLD = {"add": -2.0, "subtract": 2.0}
 
 
 @dataclass(frozen=True)
@@ -73,13 +81,12 @@ class PurityReport:
 def negativity_witness(v: np.ndarray, op: PhotonOpSpec) -> WitnessReport:
     """Decide Wigner negativity from ``(g, V^-1 g) + (Jg, V^-1 Jg)``."""
     v = _check_symmetric(v)
-    if op.kind == "subtract" and mean_photon_number(v, op.mode) <= 0.0:
-        raise SubtractionUndefinedError("subtraction undefined on vacuum mode")
+    require_photons(op.kind, mean_photon_number(v, op.mode))
     g = op.mode
     jg = apply_j(g)
     v_inv = np.linalg.inv(v)
     value = float(g @ v_inv @ g + jg @ v_inv @ jg)
-    threshold = 2.0 if op.kind == "subtract" else -2.0
+    threshold = WITNESS_THRESHOLD[op.kind]
     return WitnessReport(value=value, threshold=threshold, negative=value > threshold)
 
 
@@ -223,16 +230,77 @@ def reduced_purities(v: np.ndarray, op: PhotonOpSpec) -> PurityReport:
 
 @dataclass(frozen=True)
 class PurityScan:
-    """Random-mode purity scan; ``points[i] = (mu0, mu)`` for ``modes[i]``."""
+    """One photon operation evaluated in each of ``modes``; row ``i`` of every
+    array belongs to ``modes[i]``, and ``points[i] = (mu0, mu)``."""
 
-    points: np.ndarray
     modes: np.ndarray
-    n_resampled: int
+    witness: np.ndarray
+    negative: np.ndarray
+    mu0: np.ndarray
+    mu: np.ndarray
+    nbar: np.ndarray
+    n_resampled: int = 0
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.column_stack([self.mu0, self.mu])
 
     @property
     def fraction_lowered(self) -> float:
-        mu0, mu = self.points[:, 0], self.points[:, 1]
-        return float(np.mean(mu < mu0))
+        """Share of modes whose purity dropped by more than ``PURITY_TIE_TOL``."""
+        return float(np.mean(self.mu < self.mu0 - PURITY_TIE_TOL))
+
+
+def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
+    """Witness, purities and mean photon number for a batch of modes at once.
+
+    With ``G = [g, Jg]``, ``R = G^T V G`` and ``L = G^T V^-1 G`` the witness
+    is ``tr L``, ``mu0 = det(R)^-1/2`` and ``nbar = (tr R - 2) / 4``.  On the
+    plane coordinates ``u = G^T b``, ``E[G^T V^-1 b | u] = R^-1 u`` with
+    covariance ``L - R^-1``, so the marginal of :func:`nongaussian_wigner`
+    is ``[u.Q u + c] N(u; 0, R)`` with ``d = tr R + 2s`` and
+
+        Q = (1 + s R^-1)^2 / d,
+        c = 1 - (tr R + 4s + tr L) / d + tr(L - R^-1) / d = -(2s + tr R^-1) / d,
+
+    to which the formula of :func:`wigner_purity` applies.
+    """
+    v = _check_symmetric(v)
+    if kind not in WITNESS_THRESHOLD:
+        raise ValueError(f"kind must be 'add' or 'subtract', got {kind!r}")
+    modes = np.array([as_mode(g) for g in modes])
+    if modes.ndim != 2 or modes.shape[1] != v.shape[0]:
+        raise DimensionError("modes must be an (n, 2m) array matching the state")
+    s = 1.0 if kind == "add" else -1.0
+
+    plane = np.stack([modes, apply_j(modes)], axis=-1)  # G, shape (n, 2m, 2)
+    plane_t = plane.transpose(0, 2, 1)  # G^T
+    r = plane_t @ (v @ plane)
+    tr_r = r[:, 0, 0] + r[:, 1, 1]
+    nbar = (tr_r - 2.0) / 4.0
+    require_photons(kind, nbar)
+    lam = plane_t @ (np.linalg.inv(v) @ plane)
+    witness = lam[:, 0, 0] + lam[:, 1, 1]
+
+    det_r = np.linalg.det(r)
+    if np.any(det_r <= 0):
+        raise CovarianceError("reduced covariance not positive definite")
+    r_inv = np.linalg.inv(r)
+    d = tr_r + 2.0 * s
+    k = np.eye(2) + s * r_inv
+    qs = k @ k @ r / (2.0 * d[:, None, None])  # Q S with S = R / 2
+    tr_qs = qs[:, 0, 0] + qs[:, 1, 1]
+    tr_qsqs = np.einsum("nij,nji->n", qs, qs)
+    c = -(2.0 * s + r_inv[:, 0, 0] + r_inv[:, 1, 1]) / d
+    mu = (tr_qs**2 + 2.0 * tr_qsqs + 2.0 * c * tr_qs + c**2) / np.sqrt(det_r)
+    return PurityScan(
+        modes=modes,
+        witness=witness,
+        negative=witness > WITNESS_THRESHOLD[kind],
+        mu0=1.0 / np.sqrt(det_r),
+        mu=mu,
+        nbar=nbar,
+    )
 
 
 def sample_scan_mode(
@@ -261,30 +329,30 @@ def sample_scan_mode(
             )
 
 
+def draw_scan_modes(
+    v: np.ndarray, kind: str, n_samples: int, seed
+) -> tuple[np.ndarray, int]:
+    """Modes of samples ``0 .. n_samples - 1`` and their total resample count."""
+    modes = np.empty((n_samples, v.shape[0]))
+    total_resampled = 0
+    for i in range(n_samples):
+        modes[i], resampled = sample_scan_mode(v, kind, seed, i)
+        total_resampled += resampled
+    return modes, total_resampled
+
+
 def purity_scan(v: np.ndarray, kind: str, n_samples: int, seed) -> PurityScan:
     """Purities (mu0, mu) for ``n_samples`` random choices of the mode.
 
     The state must be pure: the comparison of reduced purities is an
     entanglement statement only when the global state carries no classical
     noise.  Deterministic per seed; each sample uses the substream
-    ``[seed, index]`` so the scan parallelises without changing its output.
+    ``[seed, index]``.
     """
-    v = _check_symmetric(v)
-    nu = symplectic_eigenvalues(v)
-    if np.max(np.abs(nu - 1.0)) > 1e-6:
-        raise CovarianceError(
-            f"purity scan requires a pure state (symplectic eigenvalues {nu})"
-        )
-    points = np.empty((n_samples, 2))
-    modes = np.empty((n_samples, v.shape[0]))
-    total_resampled = 0
-    for i in range(n_samples):
-        g, resampled = sample_scan_mode(v, kind, seed, i)
-        total_resampled += resampled
-        rep = reduced_purities(v, PhotonOpSpec(kind, g))
-        points[i] = (rep.mu0, rep.mu)
-        modes[i] = g
-    return PurityScan(points=points, modes=modes, n_resampled=total_resampled)
+    if not is_pure(v):
+        raise CovarianceError("purity scan requires a pure state")
+    modes, resampled = draw_scan_modes(v, kind, n_samples, seed)
+    return replace(plane_scan(v, kind, modes), n_resampled=resampled)
 
 
 def passive_separability_witness(
@@ -300,11 +368,8 @@ def passive_separability_witness(
     convex decompositions beyond this criterion.
     """
     v = _check_symmetric(v)
-    nu = symplectic_eigenvalues(v)
-    if np.max(np.abs(nu - 1.0)) > 1e-6:
-        raise CovarianceError(
-            "passive separability witness supports pure states only"
-        )
+    if not is_pure(v):
+        raise CovarianceError("passive separability witness supports pure states only")
     p = mode_projector(g)
     resid = (np.eye(v.shape[0]) - p) @ v @ p
     return float(np.linalg.norm(resid)) < tol

@@ -16,17 +16,17 @@ Mode specs are either explicit coordinates ("1,0,0,0"), "supermode:i"
 (resolved through the Williamson and Bloch-Messiah decompositions of the
 state's pure part), or "random" (drawn from the seed).
 
-Exit codes are part of the contract: 0 ok, 2 invalid state, 3 parse error,
-4 subtraction undefined on a vacuum mode, 5 purity scan on a mixed state,
-6 Fock cutoff leakage.  All commands are deterministic: identical flags and
-seed give byte-identical output, whatever the worker count.
+Exit codes are part of the contract: 0 ok, 1 oracle-check FAIL, 2 invalid
+state, 3 parse error, 4 subtraction undefined on a vacuum mode, 5 purity scan
+on a mixed state, 6 Fock cutoff leakage.  Identical flags and seed give
+byte-identical output; ``--workers`` is accepted but starts no threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .errors import (
 from .gaussian import (
     bloch_messiah,
     gaussian_purity,
+    is_pure,
     random_pure_squeezed_cov,
-    reduce_to_mode,
     symplectic_eigenvalues,
     validate_covariance,
     williamson,
@@ -50,18 +50,17 @@ from .gaussian import (
 from .phase_space import apply_j, as_mode, random_mode
 
 EXIT_OK = 0
+EXIT_ORACLE_FAIL = 1
 EXIT_INVALID_STATE = 2
 EXIT_PARSE = 3
 EXIT_SUBTRACTION = 4
 EXIT_MIXED_PURITY_SCAN = 5
 EXIT_CUTOFF = 6
 
-PURE_TOL = 1e-6
-
 
 def _fmt(x) -> str:
-    """Shortest exact decimal form; the backbone of byte-stable output."""
-    return repr(float(x))
+    """Shortest exact decimal form, flags as 0/1; keeps output byte-stable."""
+    return str(int(x)) if isinstance(x, np.bool_) else repr(float(x))
 
 
 def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
@@ -98,10 +97,27 @@ def _require_zero_mean(cov) -> None:
         )
 
 
+@contextmanager
 def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", encoding="utf-8") as out:
+        yield out
+
+
+def _write_scan(args, modes: np.ndarray, columns: dict, header: str = "") -> None:
+    """Scan CSV: provenance header, then per sample its index, mode and ``columns``."""
+    names = [f"g{i}" for i in range(modes.shape[1])] + list(columns)
+    with _open_out(args) as out:
+        out.write(
+            f"# wignerlab {args.command} ordering={ORDERING} scaling={SCALING} "
+            f"op={args.op} samples={len(modes)} seed={args.seed}{header}\n"
+        )
+        out.write(",".join(["sample"] + names) + "\n")
+        for i, g in enumerate(modes):
+            cells = [_fmt(x) for x in g] + [_fmt(col[i]) for col in columns.values()]
+            out.write(",".join([str(i)] + cells) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -112,7 +128,7 @@ def cmd_validate(args) -> int:
         print(f"invalid state: {exc}")
         return EXIT_INVALID_STATE
     purity = gaussian_purity(cov.matrix)
-    kind = "pure" if abs(purity - 1.0) <= PURE_TOL else "mixed"
+    kind = "pure" if is_pure(cov.matrix) else "mixed"
     nus = ", ".join(f"{x:.12g}" for x in nu)
     print(f"nu = {nus}; {kind}")
     print(f"purity = {purity:.12g}")
@@ -134,8 +150,7 @@ def cmd_wigner_grid(args) -> int:
     points = flat[:, :1] * plane[None, :] + flat[:, 1:] * apply_j(plane)[None, :]
     values = w(points)
 
-    out = _open_out(args)
-    try:
+    with _open_out(args) as out:
         out.write(
             f"# wignerlab wigner-grid ordering={ORDERING} scaling={SCALING} "
             f"op={args.op} mode={args.mode} plane={args.plane or args.mode} "
@@ -148,63 +163,21 @@ def cmd_wigner_grid(args) -> int:
         out.write("beta1,beta2,w\n")
         for (x, y), val in zip(flat, values):
             out.write(f"{_fmt(x)},{_fmt(y)},{_fmt(val)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"min W on grid = {_fmt(values.min())}")
     print(f"witness = {_fmt(witness.value)}; negative = {witness.negative}")
     return EXIT_OK
 
 
-def _scan_record(v: np.ndarray, kind: str, seed, index: int):
-    g, resampled = analysis.sample_scan_mode(v, kind, seed, index)
-    op = photon_ops.PhotonOpSpec(kind, g)
-    witness = analysis.negativity_witness(v, op)
-    mu0 = gaussian_purity(reduce_to_mode(v, g))
-    mu = analysis.wigner_purity(
-        analysis.marginal_wigner(photon_ops.nongaussian_wigner(v, op), g)
-    )
-    nbar = photon_ops.mean_photon_number(v, g)
-    return g, witness, mu0, mu, nbar, resampled
-
-
-def _run_indexed(worker, n: int, workers: int):
-    if workers <= 1:
-        return [worker(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n)))
-
-
 def cmd_witness_scan(args) -> int:
     cov = _load_validated(args.state)
     _require_zero_mean(cov)
-    v = cov.matrix
-    m = v.shape[0] // 2
-
-    records = _run_indexed(
-        lambda i: _scan_record(v, args.op, args.seed, i), args.samples, args.workers
-    )
-    negatives = sum(1 for rec in records if rec[1].negative)
-    fraction = negatives / args.samples
-
-    out = _open_out(args)
-    try:
-        out.write(
-            f"# wignerlab witness-scan ordering={ORDERING} scaling={SCALING} "
-            f"op={args.op} samples={args.samples} seed={args.seed}\n"
-        )
-        cols = ",".join(f"g{i}" for i in range(2 * m))
-        out.write(f"sample,{cols},witness,negative,mu0,mu,mean_photon\n")
-        for i, (g, wit, mu0, mu, nbar, _) in enumerate(records):
-            gtxt = ",".join(_fmt(x) for x in g)
-            out.write(
-                f"{i},{gtxt},{_fmt(wit.value)},{int(wit.negative)},"
-                f"{_fmt(mu0)},{_fmt(mu)},{_fmt(nbar)}\n"
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    print(f"negative fraction = {_fmt(fraction)}")
+    modes, _ = analysis.draw_scan_modes(cov.matrix, args.op, args.samples, args.seed)
+    scan = analysis.plane_scan(cov.matrix, args.op, modes)
+    _write_scan(args, modes, {
+        "witness": scan.witness, "negative": scan.negative,
+        "mu0": scan.mu0, "mu": scan.mu, "mean_photon": scan.nbar,
+    })
+    print(f"negative fraction = {_fmt(np.mean(scan.negative))}")
     return EXIT_OK
 
 
@@ -212,57 +185,25 @@ def cmd_purity_scan(args) -> int:
     cov = _load_validated(args.state)
     _require_zero_mean(cov)
     v = cov.matrix
-    nu = symplectic_eigenvalues(v)
-    if np.max(np.abs(nu - 1.0)) > PURE_TOL:
+    if not is_pure(v):
         print(
             "purity scan requires a pure state; run `wignerlab purify` first "
-            f"(symplectic eigenvalues up to {nu[0]:.6g})"
+            f"(symplectic eigenvalues up to {symplectic_eigenvalues(v)[0]:.6g})"
         )
         return EXIT_MIXED_PURITY_SCAN
-    m = v.shape[0] // 2
 
-    if args.mode is not None:
-        g = _resolve_mode(args.mode, v, args.seed)
-        records = [_fixed_purity_record(v, args.op, g)]
+    if args.mode is None:
+        modes, resampled = analysis.draw_scan_modes(v, args.op, args.samples, args.seed)
     else:
-        records = _run_indexed(
-            lambda i: _scan_record(v, args.op, args.seed, i),
-            args.samples,
-            args.workers,
-        )
-    lowered = sum(1 for rec in records if rec[3] < rec[2])
-    resampled = sum(rec[5] for rec in records)
-    mu0s = np.array([rec[2] for rec in records])
-    mus = np.array([rec[3] for rec in records])
-
-    out = _open_out(args)
-    try:
-        out.write(
-            f"# wignerlab purity-scan ordering={ORDERING} scaling={SCALING} "
-            f"op={args.op} samples={len(records)} seed={args.seed} "
-            f"mode={args.mode or 'random'}\n"
-        )
-        cols = ",".join(f"g{i}" for i in range(2 * m))
-        out.write(f"sample,{cols},mu0,mu\n")
-        for i, (g, _, mu0, mu, _, _) in enumerate(records):
-            gtxt = ",".join(_fmt(x) for x in g)
-            out.write(f"{i},{gtxt},{_fmt(mu0)},{_fmt(mu)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    print(f"fraction mu<mu0 = {_fmt(lowered / len(records))}")
-    print(f"mean mu0 = {_fmt(mu0s.mean())}")
-    print(f"mean mu = {_fmt(mus.mean())}")
+        modes, resampled = _resolve_mode(args.mode, v, args.seed)[None, :], 0
+    scan = analysis.plane_scan(v, args.op, modes)
+    _write_scan(args, modes, {"mu0": scan.mu0, "mu": scan.mu},
+                f" mode={args.mode or 'random'}")
+    print(f"fraction mu<mu0 = {_fmt(scan.fraction_lowered)}")
+    print(f"mean mu0 = {_fmt(scan.mu0.mean())}")
+    print(f"mean mu = {_fmt(scan.mu.mean())}")
     print(f"resampled = {resampled}")
     return EXIT_OK
-
-
-def _fixed_purity_record(v, kind, g):
-    op = photon_ops.PhotonOpSpec(kind, g)
-    witness = analysis.negativity_witness(v, op)
-    rep = analysis.reduced_purities(v, op)
-    nbar = photon_ops.mean_photon_number(v, g)
-    return g, witness, rep.mu0, rep.mu, nbar, 0
 
 
 def cmd_purify(args) -> int:
@@ -374,7 +315,7 @@ def cmd_oracle_check(args) -> int:
     print(f"max covariance deviation = {cov_dev:.3e} (tol {COVARIANCE_TOL:.0e})")
     ok = wigner_dev < WIGNER_TOL and cum_dev < CUMULANT_TOL and cov_dev < COVARIANCE_TOL
     print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_ORACLE_FAIL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -408,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=("add", "subtract"))
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; starts no threads")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_witness_scan)
 
@@ -419,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default=None,
                    help="force a fixed mode instead of random sampling")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; starts no threads")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_purity_scan)
 
@@ -454,7 +397,7 @@ def main(argv=None) -> int:
         )
         print(f"cutoff leakage: {exc}{hint}", file=sys.stderr)
         return EXIT_CUTOFF
-    except CovarianceError as exc:
+    except (CovarianceError, np.linalg.LinAlgError) as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
 

@@ -48,9 +48,9 @@ def load_covariance(path) -> CovarianceFile:
     """Read and structurally validate a state file.
 
     Raises:
-        ParseError: unreadable JSON, missing fields, convention mismatch, or
-            inconsistent shapes.  Physical validation (symmetry, symplectic
-            spectrum) is the caller's job via ``validate_covariance``.
+        ParseError: unreadable JSON, missing fields, convention mismatch,
+            inconsistent shapes or non-finite numbers.  Symmetry and the
+            symplectic spectrum are the caller's job (``validate_covariance``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,6 +86,8 @@ def load_covariance(path) -> CovarianceFile:
             raise ParseError("mean vector length does not match the matrix")
     else:
         mean = np.zeros(2 * modes)
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(mean))):
+        raise ParseError("matrix and mean must hold finite numbers only")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")

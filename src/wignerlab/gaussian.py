@@ -34,6 +34,9 @@ PHYSICALITY_TOL = 1e-9
 #: Absolute asymmetry allowed in an ingested covariance matrix.
 SYMMETRY_TOL = 1e-10
 
+#: A state is pure when every symplectic eigenvalue lies this close to one.
+PURE_TOL = 1e-6
+
 
 def _as_even_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
@@ -91,6 +94,11 @@ def validate_covariance(v: np.ndarray) -> np.ndarray:
             f"unphysical covariance: symplectic eigenvalue {nu[-1]!r} < 1"
         )
     return nu
+
+
+def is_pure(v: np.ndarray) -> bool:
+    """Whether every symplectic eigenvalue of ``v`` lies within ``PURE_TOL`` of one."""
+    return bool(np.max(np.abs(symplectic_eigenvalues(v) - 1.0)) <= PURE_TOL)
 
 
 def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:

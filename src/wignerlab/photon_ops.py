@@ -54,7 +54,7 @@ from .errors import (
 from .gaussian import (
     _check_symmetric,
     gaussian_wigner,
-    symplectic_eigenvalues,
+    is_pure,
     validate_covariance,
     williamson,
 )
@@ -103,16 +103,14 @@ def mean_photon_number(v: np.ndarray, g: np.ndarray) -> float:
     return float((g @ v @ g + jg @ v @ jg - 2.0) / 4.0)
 
 
-def _correction_denominator(v: np.ndarray, op: PhotonOpSpec) -> float:
-    g = op.mode
-    jg = apply_j(g)
-    den = float(g @ v @ g + jg @ v @ jg + 2.0 * op.sign)
-    if op.kind == "subtract" and den <= 4.0 * SUBTRACTION_TOL:
+def require_photons(kind: str, nbar) -> None:
+    """Refuse subtraction from modes with mean photon number ``nbar`` at most
+    ``SUBTRACTION_TOL``; ``nbar`` is a quarter of ``tr((V + xi xi^T - 1) P)``."""
+    if kind == "subtract" and np.min(nbar) <= SUBTRACTION_TOL:
         raise SubtractionUndefinedError(
             "subtraction undefined on vacuum mode: mean photon number "
-            f"{den / 4.0!r} <= {SUBTRACTION_TOL}"
+            f"{float(np.min(nbar))!r} <= {SUBTRACTION_TOL}"
         )
-    return den
 
 
 def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
@@ -128,7 +126,9 @@ def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
     v = _check_symmetric(v)
     if op.mode.size != v.shape[0]:
         raise DimensionError("operation mode and covariance dimensions differ")
-    den = _correction_denominator(v, op)
+    jg = apply_j(op.mode)
+    den = float(op.mode @ v @ op.mode + jg @ v @ jg + 2.0 * op.sign)
+    require_photons(op.kind, den / 4.0)
     vp = v + op.sign * np.eye(v.shape[0])
     num = 2.0 * vp @ mode_projector(op.mode) @ vp
     a = num / den
@@ -354,16 +354,6 @@ def decompose_pure_noise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (v_pure + v_pure.T), 0.5 * (v_noise + v_noise.T)
 
 
-def _require_pure(v: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    v = _check_symmetric(v)
-    nu = symplectic_eigenvalues(v)
-    if np.max(np.abs(nu - 1.0)) > tol:
-        raise CovarianceError(
-            f"pure covariance required (symplectic eigenvalues {nu})"
-        )
-    return v
-
-
 def displaced_poly_wigner(
     v_base: np.ndarray,
     xi: np.ndarray,
@@ -389,10 +379,9 @@ def displaced_poly_wigner(
         SubtractionUndefinedError: if the normalisation trace vanishes
             (subtracting from an undisplaced vacuum mode).
     """
-    if allow_mixed_base:
-        v = _check_symmetric(v_base)
-    else:
-        v = _require_pure(v_base)
+    v = _check_symmetric(v_base)
+    if not (allow_mixed_base or is_pure(v)):
+        raise CovarianceError("pure base covariance required")
     dim = v.shape[0]
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
@@ -405,10 +394,7 @@ def displaced_poly_wigner(
     xi_p_xi = float(xi @ p @ xi)
 
     den = tr_pv + xi_p_xi + 2.0 * s
-    if op.kind == "subtract" and den <= 4.0 * SUBTRACTION_TOL:
-        raise SubtractionUndefinedError(
-            "subtraction undefined: displaced mode has zero mean photon number"
-        )
+    require_photons(op.kind, den / 4.0)
 
     grad = p @ (np.eye(dim) + s * v_inv)
     gtg = grad.T @ grad
@@ -484,10 +470,7 @@ def displacement_density(
     tr_ps = float(np.trace(p @ v_pure)) + 2.0 * s
     num = (tr_ps + np.einsum("ni,ij,nj->n", xi2, p, xi2)) * gauss
     den = float(np.trace(p @ (v_pure + v_noise))) + 2.0 * s
-    if op.kind == "subtract" and den <= 4.0 * SUBTRACTION_TOL:
-        raise SubtractionUndefinedError(
-            "subtraction undefined on vacuum mode of the mixed state"
-        )
+    require_photons(op.kind, den / 4.0)
     out = np.where(in_range, num / den, 0.0)
     return float(out[0]) if squeeze else out
 
@@ -541,8 +524,7 @@ def mixture_reconstruction(
     s = float(op.sign)
     p = mode_projector(op.mode)
     den = float(np.trace(p @ v)) + 2.0 * s
-    if op.kind == "subtract" and den <= 4.0 * SUBTRACTION_TOL:
-        raise SubtractionUndefinedError("subtraction undefined on vacuum mode")
+    require_photons(op.kind, den / 4.0)
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, int(pos.sum())))

@@ -2,19 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, random_case
 from wignerlab.analysis import (
     marginal_wigner,
     negativity_witness,
     passive_separability_witness,
+    plane_scan,
     purity_scan,
     reduced_purities,
     wigner_at_origin,
     wigner_minimum,
     wigner_purity,
 )
-from wignerlab.errors import CovarianceError, SubtractionUndefinedError
+from wignerlab.errors import (
+    CovarianceError,
+    DimensionError,
+    ModeValidationError,
+    SubtractionUndefinedError,
+)
 from wignerlab.gaussian import (
     bloch_messiah,
     gaussian_purity,
@@ -59,6 +66,16 @@ class TestNegativityWitness:
     def test_vacuum_subtract_rejected(self):
         with pytest.raises(SubtractionUndefinedError):
             negativity_witness(np.eye(2), subtract(X1))
+
+    @pytest.mark.parametrize("nbar", [5e-14, 5e-13])
+    def test_near_vacuum_subtract_rejected(self, nbar):
+        # the same guard as the Wigner function: n <= SUBTRACTION_TOL
+        v = np.diag([1.0 + 4.0 * nbar, 1.0])
+        assert 0.0 < mean_photon_number(v, X1) <= 1e-12
+        with pytest.raises(SubtractionUndefinedError):
+            negativity_witness(v, subtract(X1))
+        with pytest.raises(SubtractionUndefinedError):
+            nongaussian_wigner(v, subtract(X1))
 
 
 class TestWignerAtOrigin:
@@ -226,6 +243,44 @@ class TestPurityScan:
     def test_vacuum_subtraction_rejected(self):
         with pytest.raises(SubtractionUndefinedError):
             purity_scan(np.eye(4), "subtract", 2, 0)
+
+
+class TestPlaneScan:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        mixed=st.booleans(),
+        kind=st.sampled_from(["add", "subtract"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_general_path(self, m, mixed, kind, seed):
+        rng = np.random.default_rng(seed)
+        v = random_mixed_cov(m, rng, max_thermal=2.0 if mixed else 1.0)
+        modes = np.array([random_mode(m, rng) for _ in range(4)])
+        if kind == "subtract":
+            # near vacuum both paths lose digits roughly as 1 / n
+            keep = [mean_photon_number(v, g) >= 1e-3 for g in modes]
+            assume(any(keep))
+            modes = modes[keep]
+        scan = plane_scan(v, kind, modes)
+        for i, g in enumerate(modes):
+            op = PhotonOpSpec(kind, g)
+            rep = reduced_purities(v, op)
+            witness = negativity_witness(v, op)
+            got = [scan.witness[i], scan.mu0[i], scan.mu[i], scan.nbar[i]]
+            want = [witness.value, rep.mu0, rep.mu, mean_photon_number(v, g)]
+            # relative 1e-12; the absolute floor covers n near zero for addition
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert scan.negative[i] == witness.negative
+
+    def test_rejects_malformed_modes(self):
+        v = np.eye(4)
+        with pytest.raises(DimensionError):
+            plane_scan(v, "add", np.eye(2))
+        with pytest.raises(ModeValidationError):
+            plane_scan(v, "add", 2.0 * np.eye(4)[:1])
+        with pytest.raises(ValueError):
+            plane_scan(v, "squeeze", np.eye(4)[:1])
 
 
 class TestPassiveSeparability:

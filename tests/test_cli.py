@@ -128,6 +128,40 @@ class TestValidate:
         assert code == 3
 
 
+COMMANDS_ON_STATE = {
+    "validate": lambda path, tmp: ["validate", path],
+    "witness-scan": lambda path, tmp: [
+        "witness-scan", "--state", path, "--op", "add", "--samples", "3",
+    ],
+    "purify": lambda path, tmp: ["purify", "--state", path, "--out", tmp / "out.json"],
+}
+
+
+class TestNonFiniteAndOverflow:
+    @pytest.mark.parametrize("command", sorted(COMMANDS_ON_STATE))
+    @pytest.mark.parametrize("field", ["matrix", "mean"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_is_parse_error(self, tmp_path, capsys, command, field, value):
+        doc = {"modes": 1, "ordering": "xxpp", "scaling": "shot-noise-1",
+               "matrix": [[1.0, 0.0], [0.0, 1.0]], "mean": [0.0, 0.0]}
+        (doc["matrix"][0] if field == "matrix" else doc["mean"])[0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # writes the NaN / Infinity tokens
+        code, _, err = run(capsys, *COMMANDS_ON_STATE[command](bad, tmp_path))
+        assert code == 3
+        assert "finite" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(COMMANDS_ON_STATE))
+    def test_overflowing_matrix_is_invalid_state(self, tmp_path, capsys, command):
+        # finite entries that overflow inside the linear algebra; LAPACK fails
+        bad = tmp_path / "huge.json"
+        save_covariance(bad, np.full((2, 2), 1e308))
+        code, _, err = run(capsys, *COMMANDS_ON_STATE[command](bad, tmp_path))
+        assert code == 2
+        assert "invalid state" in err
+
+
 class TestWignerGrid:
     def test_vacuum_add_minimum(self, states, tmp_path, capsys):
         out_csv = tmp_path / "grid.csv"
@@ -216,13 +250,16 @@ class TestWitnessScan:
 
 class TestPurityScan:
     def test_single_mode_degenerate(self, states, capsys):
-        code, out, _ = run(
-            capsys, "purity-scan", "--state", states["squeezed"], "--op", "subtract",
-            "--samples", "4", "--seed", "3",
-        )
-        assert code == 0
-        assert "mean mu0 = 1.0" in out
-        assert "mean mu = 1.0" in out
+        for seed in range(10):
+            code, out, _ = run(
+                capsys, "purity-scan", "--state", states["squeezed"], "--op",
+                "subtract", "--samples", "4", "--seed", seed,
+            )
+            assert code == 0
+            mu0 = float(out.split("mean mu0 = ")[1].split()[0])
+            mu = float(out.split("mean mu = ")[1].split()[0])
+            assert abs(mu0 - 1.0) <= 1e-12
+            assert abs(mu - 1.0) <= 1e-12
 
     def test_supermode_flag_equal_purities(self, states, capsys):
         code, out, _ = run(
@@ -234,6 +271,25 @@ class TestPurityScan:
         mu0 = float(out.split("mean mu0 = ")[1].split()[0])
         mu = float(out.split("mean mu = ")[1].split()[0])
         assert mu == pytest.approx(mu0, abs=1e-9)
+
+    @pytest.mark.parametrize("op", ["add", "subtract"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_supermode_ties_not_lowered(self, states, capsys, op, index):
+        # mu = mu0 exactly for a supermode; rounding must not count as lowered
+        code, out, _ = run(
+            capsys, "purity-scan", "--state", states["pure4"], "--op", op,
+            "--mode", f"supermode:{index}",
+        )
+        assert code == 0
+        assert "fraction mu<mu0 = 0.0" in out
+
+    def test_vacuum_mode_subtraction_exit4(self, states, capsys):
+        code, _, err = run(
+            capsys, "purity-scan", "--state", states["vacuum2"], "--op", "subtract",
+            "--mode", "1,0,0,0",
+        )
+        assert code == 4
+        assert "subtraction undefined" in err
 
     def test_mixed_rejected_exit5(self, states, capsys):
         code, out, _ = run(
