@@ -44,7 +44,6 @@ from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
     covariance_correction,
-    evaluate_wigner,
     mean_photon_number,
     nongaussian_wigner,
     require_photons,
@@ -105,30 +104,6 @@ def wigner_at_origin(v: np.ndarray, op: PhotonOpSpec) -> float:
         raise CovarianceError("covariance matrix not positive definite")
     w0 = np.exp(-0.5 * logdet - m * np.log(2.0 * np.pi))
     return float(0.5 * (2.0 - np.trace(v_inv @ a)) * w0)
-
-
-def wigner_minimum(
-    w: PolyGaussianWigner, n_starts: int = 32, seed=0
-) -> tuple[float, np.ndarray]:
-    """Diagnostic numerical probe of the minimum of a Wigner function.
-
-    Negativity certification never needs this (the witness settles it at the
-    origin); it exists to inspect where and how deep the negative region is.
-    Multi-start quasi-Newton minimisation, deterministic per seed.
-    """
-    from scipy.optimize import minimize
-
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(np.max(np.linalg.eigvalsh(w.cov)))
-    best_val, best_pt = np.inf, None
-    starts = [np.zeros(w.dim)] + [
-        rng.standard_normal(w.dim) * scale for _ in range(n_starts - 1)
-    ]
-    for start in starts:
-        res = minimize(lambda b: float(evaluate_wigner(w, b)), start, method="BFGS")
-        if res.fun < best_val:
-            best_val, best_pt = float(res.fun), res.x
-    return best_val, best_pt
 
 
 def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:

@@ -14,17 +14,20 @@ Subcommands::
 
 Mode specs are either explicit coordinates ("1,0,0,0"), "supermode:i"
 (resolved through the Williamson and Bloch-Messiah decompositions of the
-state's pure part), or "random" (drawn from the seed).
+state's pure part, signed so that the largest-magnitude component is
+positive), or "random" (drawn from the seed).
 
 Exit codes are part of the contract: 0 ok, 1 oracle-check FAIL, 2 invalid
-state, 3 parse error, 4 subtraction undefined on a vacuum mode, 5 purity scan
-on a mixed state, 6 Fock cutoff leakage.  Identical flags and seed give
-byte-identical output; ``--workers`` is accepted but starts no threads.
+state, 3 parse error or numeric flag out of range, 4 subtraction undefined on
+a vacuum mode, 5 purity scan on a mixed state, 6 Fock cutoff leakage.
+Identical flags and seed give byte-identical output; ``--workers`` is
+accepted but starts no threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -57,10 +60,24 @@ EXIT_SUBTRACTION = 4
 EXIT_MIXED_PURITY_SCAN = 5
 EXIT_CUTOFF = 6
 
+#: Smallest accepted value of each integer flag; below it the run exits 3.
+FLAG_MIN = {"samples": 1, "grid": 1, "cutoff": 2}
+
 
 def _fmt(x) -> str:
     """Shortest exact decimal form, flags as 0/1; keeps output byte-stable."""
     return str(int(x)) if isinstance(x, np.bool_) else repr(float(x))
+
+
+def _check_flags(args) -> None:
+    """Reject numeric flags outside their domain before any work starts."""
+    for name, low in FLAG_MIN.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ParseError(f"--{name} must be at least {low}, got {value}")
+    extent = getattr(args, "range", None)
+    if extent is not None and not (math.isfinite(extent) and extent > 0.0):
+        raise ParseError(f"--range must be finite and positive, got {extent!r}")
 
 
 def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
@@ -224,7 +241,7 @@ def cmd_purify(args) -> int:
             "pure-to-noise-hs-ratio": ratio_txt,
         }
     )
-    save_covariance(args.out, v_pure, metadata=metadata)
+    save_covariance(args.out, v_pure, mean=cov.mean, metadata=metadata)
     print(f"pure part written to {args.out}")
     print(f"pure/noise Hilbert-Schmidt ratio = {ratio_txt}")
     return EXIT_OK
@@ -382,6 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -30,9 +30,13 @@ from functools import lru_cache as _lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
-from .errors import CapacityError, CutoffError, DimensionError
+from .errors import (
+    CapacityError,
+    CutoffError,
+    DimensionError,
+    SubtractionUndefinedError,
+)
 from .gaussian import bloch_messiah, symplectic_to_unitary, williamson
 from .phase_space import as_mode, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
@@ -80,65 +84,26 @@ def _mode_coefficients(g: np.ndarray) -> np.ndarray:
     return g[:m] - 1j * g[m:]
 
 
-def lower(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the annihilation operator along one tensor axis."""
-    n = psi.shape[axis]
-    coef = np.sqrt(np.arange(1, n))
-    out = np.zeros_like(psi)
-    src = [slice(None)] * psi.ndim
-    dst = [slice(None)] * psi.ndim
-    src[axis] = slice(1, n)
-    dst[axis] = slice(0, n - 1)
-    shape = [1] * psi.ndim
-    shape[axis] = n - 1
-    out[tuple(dst)] = coef.reshape(shape) * psi[tuple(src)]
-    return out
+def _ladder(psi: np.ndarray, low, high, out: np.ndarray,
+            scratch: np.ndarray) -> np.ndarray:
+    """``out = sum_j (low[j] a_j + high[j] a_j^dag) psi``; returns ``out``.
 
-
-def raise_(psi: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the creation operator along one tensor axis (top level drops)."""
-    n = psi.shape[axis]
-    coef = np.sqrt(np.arange(1, n))
-    out = np.zeros_like(psi)
-    src = [slice(None)] * psi.ndim
-    dst = [slice(None)] * psi.ndim
-    src[axis] = slice(0, n - 1)
-    dst[axis] = slice(1, n)
-    shape = [1] * psi.ndim
-    shape[axis] = n - 1
-    out[tuple(dst)] = coef.reshape(shape) * psi[tuple(src)]
-    return out
-
-
-def apply_annihilation(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``a(g) psi`` for a mode superposition ``g``."""
-    c = _mode_coefficients(g)
-    out = np.zeros_like(psi)
-    for j, cj in enumerate(c):
-        if cj != 0:
-            out += cj * lower(psi, j)
-    return out
-
-
-def apply_creation(psi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``a^dag(g) psi``."""
-    c = np.conj(_mode_coefficients(g))
-    out = np.zeros_like(psi)
-    for j, cj in enumerate(c):
-        if cj != 0:
-            out += cj * raise_(psi, j)
-    return out
-
-
-def apply_quadrature(psi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``Q(f) psi = (a(f) + a^dag(f)) psi``; ``f`` need not be normalised."""
-    f = np.asarray(f, dtype=float)
-    m = f.size // 2
-    c = f[:m] - 1j * f[m:]
-    out = np.zeros_like(psi)
-    for j, cj in enumerate(c):
-        if cj != 0:
-            out += cj * lower(psi, j) + np.conj(cj) * raise_(psi, j)
+    ``out`` and ``scratch`` are complex arrays of ``psi``'s shape owned by the
+    caller; the kernel allocates nothing state-sized.  Creation drops the top
+    level, annihilation empties it.
+    """
+    n = psi.shape[0]
+    # <k| a |k+1> = <k+1| a^dag |k> = sqrt(k + 1), along the leading axis
+    root = np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * (psi.ndim - 1))
+    out.fill(0.0)
+    for axis, (cl, ch) in enumerate(zip(low, high)):
+        p, o, s = (np.moveaxis(x, axis, 0) for x in (psi, out, scratch))
+        if cl != 0:
+            np.multiply(p[1:], cl * root, out=s[:-1])
+            o[:-1] += s[:-1]
+        if ch != 0:
+            np.multiply(p[:-1], ch * root, out=s[1:])
+            o[1:] += s[1:]
     return out
 
 
@@ -150,18 +115,28 @@ def apply_photon_op(state: FockState, op: PhotonOpSpec) -> tuple[FockState, floa
     for addition.
 
     Raises:
-        ValueError: annihilating a vacuum-like mode (zero resulting norm).
+        SubtractionUndefinedError: subtraction from a vacuum-like mode.
+        CutoffError: addition pushed the whole state past the cutoff.
     """
     if op.mode.size != 2 * state.modes:
         raise DimensionError("operation mode does not match the state")
-    if op.kind == "subtract":
-        amp = apply_annihilation(state.amplitudes, op.mode)
-    else:
-        amp = apply_creation(state.amplitudes, op.mode)
+    psi = state.amplitudes
+    c = _mode_coefficients(op.mode)
+    zero = np.zeros_like(c)
+    low, high = (c, zero) if op.kind == "subtract" else (zero, np.conj(c))
+    amp = _ladder(psi, low, high, np.empty(psi.shape, complex),
+                  np.empty(psi.shape, complex))
     norm_sq = float(np.vdot(amp, amp).real)
     if norm_sq <= 1e-12:
-        raise ValueError("photon subtraction annihilated the state (vacuum mode)")
-    return FockState(amp / np.sqrt(norm_sq), state.norm_deficit), norm_sq
+        if op.kind == "subtract":
+            raise SubtractionUndefinedError(
+                "photon subtraction annihilated the state (vacuum mode)"
+            )
+        raise CutoffError(
+            f"photon addition left no norm below cutoff {state.cutoff}"
+        )
+    amp /= np.sqrt(norm_sq)
+    return FockState(amp, state.norm_deficit), norm_sq
 
 
 def squeezed_amplitudes(r: float, cutoff: int) -> tuple[np.ndarray, float]:
@@ -202,32 +177,32 @@ def _phases(psi: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the real symmetric tridiagonal matrix with zero diagonal
+    and off-diagonal ``off``."""
+    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
 def _beamsplitter(psi: np.ndarray, ax1: int, ax2: int, theta, phi) -> np.ndarray:
     """Apply ``exp(theta (e^{i phi} a1^dag a2 - e^{-i phi} a2^dag a1))``.
 
     Photon number is conserved, so the rotation acts block-by-block on the
-    anti-diagonals of the two axes; each block exponential is exact, keeping
-    the whole map unitary on the truncated space.
+    anti-diagonals of the two axes.  On the block of total number ``N`` the
+    gauge ``D = diag(c^k)``, ``c = -i e^{i phi}``, turns the generator into
+    ``i theta T`` with ``T`` real tridiagonal, off-diagonal
+    ``sqrt((k+1)(N-k))``; with ``T = Q L Q^T`` the block is
+    ``D Q exp(i theta L) Q^T D^*``, exactly unitary on the truncated space
+    (Miatto & Quesada, Quantum 4, 366 (2020)).
     """
     n = psi.shape[ax1]
     moved = np.moveaxis(psi, (ax1, ax2), (0, 1))
     work = moved.reshape(n, n, -1).copy()
-    for total in range(1, 2 * n - 1):
-        lo = max(0, total - n + 1)
-        hi = min(total, n - 1)
-        ks = np.arange(lo, hi + 1)
-        size = len(ks)
-        if size < 2:
-            continue
-        gen = np.zeros((size, size), dtype=complex)
-        for idx in range(size - 1):
-            k = ks[idx]
-            # <k+1, t-k-1| a1^dag a2 |k, t-k>
-            amp = np.sqrt((k + 1.0) * (total - k))
-            gen[idx + 1, idx] = theta * np.exp(1j * phi) * amp
-            gen[idx, idx + 1] = -theta * np.exp(-1j * phi) * amp
-        block = expm(gen)
-        work[ks, total - ks, :] = block @ work[ks, total - ks, :]
+    for total in range(1, 2 * n - 2):
+        ks = np.arange(max(0, total - n + 1), min(total, n - 1) + 1)
+        lam, q = _tridiagonal_eigh(np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1])))
+        gauge = np.exp(1j * (phi - 0.5 * np.pi) * ks)[:, None]
+        block = q.T @ (np.conj(gauge) * work[ks, total - ks])
+        work[ks, total - ks] = gauge * (q @ (np.exp(1j * theta * lam)[:, None] * block))
     return np.moveaxis(work.reshape(moved.shape), (0, 1), (ax1, ax2))
 
 
@@ -350,8 +325,7 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
 def _ladder_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the tridiagonal matrix with off-diagonal
     ``sqrt(k + 1)`` and zero diagonal, shared by every displacement."""
-    lam, q = eigh_tridiagonal(np.zeros(n), np.sqrt(np.arange(1.0, n)))
-    return lam, q
+    return _tridiagonal_eigh(np.sqrt(np.arange(1.0, n)))
 
 
 def _apply_displacement(psi: np.ndarray, axis: int, z: complex) -> np.ndarray:
@@ -433,17 +407,18 @@ def fock_characteristic(state: FockState, alpha) -> complex:
 
 def fock_covariance(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrised covariance matrix and mean recomputed from the state."""
-    dim = 2 * state.modes
+    m = state.modes
     psi = state.amplitudes
-    applied = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        applied.append(apply_quadrature(psi, e))
+    scratch = np.empty(psi.shape, complex)
+    # rows: ladder coefficients of x_j = a_j + a_j^dag and p_j = i (a_j^dag - a_j)
+    applied = [
+        _ladder(psi, c, np.conj(c), np.empty(psi.shape, complex), scratch)
+        for c in np.concatenate([np.eye(m), -1j * np.eye(m)])
+    ]
     mean = np.array([float(np.vdot(psi, q).real) for q in applied])
-    cov = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
+    cov = np.empty((2 * m, 2 * m))
+    for i in range(2 * m):
+        for j in range(i, 2 * m):
             # Re<Q_i psi | Q_j psi> is the symmetrised second moment
             cov[i, j] = cov[j, i] = float(np.vdot(applied[i], applied[j]).real)
     return cov - np.outer(mean, mean), mean
@@ -451,7 +426,9 @@ def fock_covariance(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
 def fock_mean_photon(state: FockState, g: np.ndarray) -> float:
     """``<n(g)>``: squared norm of ``a(g) psi``."""
-    low = apply_annihilation(state.amplitudes, g)
+    psi = state.amplitudes
+    low = _ladder(psi, _mode_coefficients(g), np.zeros(state.modes),
+                  np.empty(psi.shape, complex), np.empty(psi.shape, complex))
     return float(np.vdot(low, low).real)
 
 
@@ -463,12 +440,15 @@ def _symmetrized_moment(psi: np.ndarray, fs: list[np.ndarray]) -> float:
     which needs only powers of single quadratures.
     """
     k = len(fs)
+    m = psi.ndim
+    even, odd, scratch = (np.empty(psi.shape, complex) for _ in range(3))
     total = 0.0
     for signs in product((1.0, -1.0), repeat=k):
         h = sum(s * f for s, f in zip(signs, fs))
+        c = h[:m] - 1j * h[m:]
         phi = psi
-        for _ in range(k):
-            phi = apply_quadrature(phi, h)
+        for step in range(k):
+            phi = _ladder(phi, c, np.conj(c), odd if step % 2 else even, scratch)
         total += float(np.prod(signs)) * float(np.vdot(psi, phi).real)
     return total / (2.0**k * math.factorial(k))
 

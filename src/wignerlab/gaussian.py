@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar, schur
 
 from .errors import CovarianceError, DimensionError, SymplecticError
 from .phase_space import apply_j, as_mode, symplectic_form
@@ -168,35 +167,19 @@ class Williamson:
 def williamson(v: np.ndarray) -> Williamson:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
-    The antisymmetric matrix ``V^-1/2 J V^-1/2`` is brought to its real Schur
-    form of 2x2 rotation generators; sign-fixing and an interleaved-to-xxpp
-    permutation turn the orthogonal Schur factor into the symplectic ``S``.
+    The Hermitian matrix ``i V^-1/2 J V^-1/2`` has eigenvalues ``+-1/nu``.
+    Its eigenvectors ``w`` for ``+1/nu`` satisfy ``w^T w = 0`` (``conj(w)``
+    belongs to ``-1/nu``), so ``sqrt(2) (Re w, Im w)`` is an orthonormal
+    J-paired basis even inside degenerate eigenspaces; scaling it gives ``S``.
     """
     v = _check_symmetric(v)
     m = v.shape[0] // 2
     sqrt_v, inv_sqrt_v = _spd_roots(v)
-    j = symplectic_form(m)
-    anti = inv_sqrt_v @ j @ inv_sqrt_v
-    anti = 0.5 * (anti - anti.T)
-    t, k = schur(anti, output="real")
-
-    # Blocks [[0, b], [-b, 0]] sit on the diagonal in (x1, p1, x2, p2, ...)
-    # pair order; flip column pairs until every b is negative so each block
-    # matches the J convention, then b = -1/nu.
-    nu = np.empty(m)
-    for i in range(m):
-        if t[2 * i, 2 * i + 1] > 0:
-            k[:, [2 * i, 2 * i + 1]] = k[:, [2 * i + 1, 2 * i]]
-            t[[2 * i, 2 * i + 1], :] = t[[2 * i + 1, 2 * i], :]
-            t[:, [2 * i, 2 * i + 1]] = t[:, [2 * i + 1, 2 * i]]
-        nu[i] = -1.0 / t[2 * i, 2 * i + 1]
-
-    order = np.argsort(-nu)
-    nu = nu[order]
-    perm = np.concatenate([2 * order, 2 * order + 1])  # xxpp target ordering
-    k = k[:, perm]
-    scale = np.concatenate([nu, nu])
-    s = sqrt_v @ k / np.sqrt(scale)
+    anti = inv_sqrt_v @ symplectic_form(m) @ inv_sqrt_v
+    lam, w = np.linalg.eigh(0.5j * (anti - anti.T))
+    nu = 1.0 / lam[m:]  # lam ascends, so nu descends
+    k = np.sqrt(2.0) * np.concatenate([w[:, m:].real, w[:, m:].imag], axis=1)
+    s = sqrt_v @ k / np.sqrt(np.concatenate([nu, nu]))
     return Williamson(s=s, nu=nu)
 
 
@@ -253,10 +236,12 @@ def _j_paired_columns(cols: np.ndarray) -> list[np.ndarray]:
 def bloch_messiah(s: np.ndarray, tol: float = 1e-9) -> BlochMessiah:
     """Bloch-Messiah decomposition of a symplectic matrix.
 
-    Polar-decomposes ``S = O P`` and diagonalises the positive symplectic
-    factor ``P`` in a J-paired eigenbasis: eigenvalues come in ``(k, 1/k)``
-    pairs with ``J`` mapping one eigenspace onto the other, so the orthogonal
-    diagonaliser can always be chosen symplectic.
+    One SVD ``S = L diag(w) U^T`` gives the polar factor ``O = L U^T`` and
+    the eigenpairs ``(w, U)`` of the positive symplectic factor
+    ``P = U diag(w) U^T``.  Eigenvalues come in ``(k, 1/k)`` pairs with ``J``
+    mapping one eigenspace onto the other, so the orthogonal diagonaliser of
+    ``P`` can always be chosen symplectic.  Each supermode is signed so that
+    its largest-magnitude component is positive.
     """
     s = _as_even_square(s, "symplectic matrix")
     m = s.shape[0] // 2
@@ -265,21 +250,19 @@ def bloch_messiah(s: np.ndarray, tol: float = 1e-9) -> BlochMessiah:
     if defect > tol:
         raise SymplecticError(f"matrix violates the symplectic form by {defect:.3e}")
 
-    o_polar, p = polar(s)  # s = o_polar @ p with p symmetric positive definite
-    w, u = np.linalg.eigh(p)
-
+    left, w, ut = np.linalg.svd(s)  # w descends
     unit = np.abs(w - 1.0) <= 1e-8
-    above = (w > 1.0) & ~unit
-    order = np.argsort(-w[above])
-    vs = [u[:, above][:, i] for i in order]
+    vs = list(ut[(w > 1.0) & ~unit])
     if np.any(unit):
-        vs.extend(_j_paired_columns(u[:, unit]))
+        vs.extend(_j_paired_columns(ut[unit].T))
     if len(vs) != m:
         raise SymplecticError("eigenvalue pairing failed; matrix too ill-conditioned")
 
     q = np.column_stack(vs + [apply_j(v) for v in vs])
-    k_vals = np.array([v @ p @ v for v in vs])
-    return BlochMessiah(passive_out=o_polar @ q, squeezing=k_vals, passive_in=q.T)
+    out = left @ ut @ q
+    top = out[np.argmax(np.abs(out[:, :m]), axis=0), np.arange(m)]
+    flip = np.tile(np.sign(top), 2)
+    return BlochMessiah(passive_out=out * flip, squeezing=w[:m], passive_in=(q * flip).T)
 
 
 def unitary_to_symplectic(u: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Command-line contract: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wignerlab
 from wignerlab.cli import main
 from wignerlab.covfile import load_covariance, save_covariance
 from wignerlab.gaussian import random_pure_squeezed_cov
@@ -160,6 +164,88 @@ class TestNonFiniteAndOverflow:
         code, _, err = run(capsys, *COMMANDS_ON_STATE[command](bad, tmp_path))
         assert code == 2
         assert "invalid state" in err
+
+
+BAD_FLAGS = [
+    ("witness-scan", "--samples", "0"),
+    ("witness-scan", "--samples", "-3"),
+    ("purity-scan", "--samples", "0"),
+    ("purity-scan", "--samples", "-3"),
+    ("wigner-grid", "--grid", "0"),
+    ("wigner-grid", "--grid", "-1"),
+    ("wigner-grid", "--range", "nan"),
+    ("wigner-grid", "--range", "inf"),
+    ("wigner-grid", "--range", "0"),
+    ("wigner-grid", "--range", "-2"),
+    ("oracle-check", "--cutoff", "1"),
+    ("oracle-check", "--cutoff", "0"),
+    ("oracle-check", "--cutoff", "-2"),
+]
+
+
+FLAG_BASE = {
+    "witness-scan": lambda s: ["--state", s["squeezed"], "--op", "add", "--samples", "2"],
+    "purity-scan": lambda s: ["--state", s["squeezed"], "--op", "add"],
+    "wigner-grid": lambda s: ["--state", s["squeezed"], "--op", "add", "--mode", "1,0"],
+    "oracle-check": lambda s: ["--preset", "vacuum-add"],
+}
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("command,flag,value", BAD_FLAGS)
+    def test_out_of_range_is_parse_error(self, states, tmp_path, capsys,
+                                         command, flag, value):
+        out_csv = tmp_path / "out.csv"
+        argv = [command, *FLAG_BASE[command](states), flag, value]
+        if command != "oracle-check":
+            argv += ["--out", out_csv]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert f"parse error: {flag}" in err
+        assert out == ""
+        assert not out_csv.exists()
+
+    def test_smallest_values_accepted(self, states, capsys):
+        base = ["--state", states["squeezed"], "--op", "add"]
+        assert run(capsys, "witness-scan", *base, "--samples", "1")[0] == 0
+        assert run(capsys, "wigner-grid", *base, "--mode", "1,0",
+                   "--grid", "1", "--range", "1e-300")[0] == 0
+
+
+CLI_COMMANDS = {
+    "validate": lambda s, tmp: ["validate", s["pure4"]],
+    "wigner-grid": lambda s, tmp: [
+        "wigner-grid", "--state", s["pure4"], "--op", "subtract",
+        "--mode", "supermode:0", "--grid", "3",
+    ],
+    "witness-scan": lambda s, tmp: [
+        "witness-scan", "--state", s["pure4"], "--op", "add", "--samples", "3",
+    ],
+    "purity-scan": lambda s, tmp: [
+        "purity-scan", "--state", s["pure4"], "--op", "add", "--samples", "3",
+    ],
+    "purify": lambda s, tmp: ["purify", "--state", s["pure4"], "--out", tmp / "p.json"],
+    "oracle-check": lambda s, tmp: ["oracle-check", "--preset", "vacuum-add"],
+}
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+    def test_command_never_imports_scipy(self, states, tmp_path, command):
+        argv = [str(a) for a in CLI_COMMANDS[command](states, tmp_path)]
+        script = (
+            "import sys\n"
+            "from wignerlab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(wignerlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestWignerGrid:
@@ -347,6 +433,21 @@ class TestPurify:
         )
         meta = load_covariance(out_path).metadata
         assert "pure-to-noise-hs-ratio" in meta
+
+    def test_mean_kept(self, tmp_path, capsys):
+        path = tmp_path / "displaced.json"
+        mean = np.array([0.5, -1.25, 0.0, 3.0])
+        v = 1.5 * random_pure_squeezed_cov(2, [3.0, -1.0], 4)
+        save_covariance(path, v, mean=mean)
+        out_path = tmp_path / "purified.json"
+        assert run(capsys, "purify", "--state", path, "--out", out_path)[0] == 0
+        assert np.array_equal(load_covariance(out_path).mean, mean)
+
+    def test_zero_mean_written_without_mean_field(self, states, tmp_path, capsys):
+        out_path = tmp_path / "purified.json"
+        code, _, _ = run(capsys, "purify", "--state", states["pure4"], "--out", out_path)
+        assert code == 0
+        assert "mean" not in json.loads(out_path.read_text())
 
 
 class TestOracleCheck:

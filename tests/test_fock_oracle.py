@@ -5,8 +5,9 @@ import pytest
 
 from conftest import grid2d, integrate2d, plane_points
 from wignerlab.analysis import reduced_purities
-from wignerlab.errors import CapacityError, CutoffError
+from wignerlab.errors import CapacityError, CutoffError, SubtractionUndefinedError
 from wignerlab.fock import (
+    FockState,
     apply_interferometer,
     apply_photon_op,
     displace_state,
@@ -123,6 +124,17 @@ class TestPhotonOps:
     def test_subtraction_from_vacuum_rejected(self):
         with pytest.raises(ValueError, match="vacuum"):
             apply_photon_op(vacuum_state(1, 8), subtract(X1))
+
+    def test_subtraction_error_type(self):
+        with pytest.raises(SubtractionUndefinedError, match="subtraction"):
+            apply_photon_op(vacuum_state(2, 4), subtract(np.array([0.6, 0.0, 0.0, 0.8])))
+
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_addition_past_cutoff_rejected(self, cutoff):
+        top = np.zeros(cutoff, dtype=complex)
+        top[-1] = 1.0
+        with pytest.raises(CutoffError, match="addition"):
+            apply_photon_op(FockState(top), add(X1))
 
     def test_subtraction_norm_is_mean_photon(self):
         st = gaussian_fock_state(SQ, 30)

@@ -167,6 +167,76 @@ class TestBlochMessiah:
             assert np.allclose(apply_j(col), bm.passive_out[:, 3 + i], atol=1e-10)
 
 
+def _equal_squeezing_cov(seed):
+    o1 = random_orthogonal_symplectic(2, seed)
+    o2 = random_orthogonal_symplectic(2, seed + 1)
+    k = db_to_scale(np.array([5.0, 5.0]))
+    s = (o1 * np.concatenate([k, 1.0 / k])) @ o2
+    return s @ s.T
+
+
+DEGENERATE_STATES = {
+    "vacuum-1": np.eye(2),
+    "vacuum-3": np.eye(6),
+    "pure-2": random_pure_squeezed_cov(2, [6.0, -2.0], 21),
+    "pure-4": random_pure_squeezed_cov(4, [3.0, 1.0, -4.0, 0.5], 22),
+    "thermal-1": 2.5 * np.eye(2),
+    "thermal-3": 1.7 * np.eye(6),
+    "equal-squeezing-a": _equal_squeezing_cov(23),
+    "equal-squeezing-b": _equal_squeezing_cov(25),
+}
+
+
+class TestDegenerateDecompositions:
+    """Williamson and Bloch-Messiah inside degenerate eigenspaces."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_STATES))
+    def test_williamson(self, name):
+        v = DEGENERATE_STATES[name]
+        m = v.shape[0] // 2
+        wl = williamson(v)
+        j = symplectic_form(m)
+        assert np.max(np.abs(wl.reconstruct() - v)) < 1e-9
+        assert np.max(np.abs(wl.s.T @ j @ wl.s - j)) < 1e-9
+        assert np.max(np.abs(wl.nu - symplectic_eigenvalues(v))) < 1e-9
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_STATES))
+    def test_bloch_messiah(self, name):
+        s = williamson(DEGENERATE_STATES[name]).s
+        m = s.shape[0] // 2
+        bm = bloch_messiah(s)
+        j = symplectic_form(m)
+        assert np.max(np.abs(bm.reconstruct() - s)) < 1e-9
+        for o in (bm.passive_out, bm.passive_in):
+            assert np.max(np.abs(o.T @ o - np.eye(2 * m))) < 1e-9
+            assert np.max(np.abs(o.T @ j @ o - j)) < 1e-9
+
+    def test_equal_squeezing_values(self):
+        bm = bloch_messiah(williamson(DEGENERATE_STATES["equal-squeezing-a"]).s)
+        assert bm.squeezing == pytest.approx(db_to_scale(np.array([5.0, 5.0])), abs=1e-9)
+
+
+class TestSupermodeSign:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_largest_component_positive(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        m = int(rng.integers(1, 5))
+        v = random_mixed_cov(m, rng, max_squeezing_db=8, max_thermal=2.0)
+        s = williamson(v).s
+        bm = bloch_messiah(s)
+        assert np.max(np.abs(bm.reconstruct() - s)) < 1e-9
+        for i in range(m):
+            g = bm.supermode(i)
+            assert g[np.argmax(np.abs(g))] > 0.0
+
+    def test_negated_input_gives_same_supermodes(self):
+        # S and -S have the same supermodes up to sign; the convention fixes it
+        s = williamson(random_pure_squeezed_cov(3, [4.0, 2.0, -1.0], 3)).s
+        a = bloch_messiah(s).passive_out
+        b = bloch_messiah(-s).passive_out
+        assert np.allclose(a, b, atol=1e-10)
+
+
 class TestRandomStates:
     def test_zero_db_is_vacuum(self):
         assert np.allclose(random_pure_squeezed_cov(1, [0.0], 5), np.eye(2), atol=1e-12)
