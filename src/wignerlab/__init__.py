@@ -16,6 +16,7 @@ from .analysis import (
     purity_scan,
     reduced_purities,
     wigner_at_origin,
+    wigner_minimum,
     wigner_purity,
 )
 from .covfile import CovarianceFile, load_covariance, save_covariance

@@ -29,6 +29,7 @@ from .errors import CovarianceError, DimensionError, SubtractionUndefinedError
 from .gaussian import (
     _check_symmetric,
     gaussian_purity,
+    gaussian_wigner,
     is_pure,
     reduce_to_mode,
 )
@@ -44,6 +45,7 @@ from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
     covariance_correction,
+    evaluate_wigner,
     mean_photon_number,
     nongaussian_wigner,
     require_photons,
@@ -104,6 +106,47 @@ def wigner_at_origin(v: np.ndarray, op: PhotonOpSpec) -> float:
         raise CovarianceError("covariance matrix not positive definite")
     w0 = np.exp(-0.5 * logdet - m * np.log(2.0 * np.pi))
     return float(0.5 * (2.0 - np.trace(v_inv @ a)) * w0)
+
+
+def wigner_minimum(
+    w: PolyGaussianWigner, n_starts: int = 32, seed=0
+) -> tuple[float, np.ndarray]:
+    """Diagnostic numerical probe of the minimum of a Wigner function.
+
+    Negativity is settled by the witness at the origin; this inspects where
+    and how deep the negative region is.  Multi-start BFGS on the closed-form
+    gradient, deterministic per seed, started first at the base mean.
+    """
+    sym_quad, cov_inv = w.quad + w.quad.T, np.linalg.inv(w.cov)
+
+    def value_grad(b):
+        val = float(evaluate_wigner(w, b))
+        gauss = float(gaussian_wigner(w.cov, b, mean=w.mean))
+        return val, (sym_quad @ b + w.lin) * gauss - val * (cov_inv @ (b - w.mean))
+
+    rng, scale = np.random.default_rng(seed), np.sqrt(np.max(np.linalg.eigvalsh(w.cov)))
+    eye, best = np.eye(w.dim), (np.inf, None)
+    for i in range(n_starts):
+        b = w.mean + (rng.standard_normal(w.dim) * scale if i else 0.0)
+        (f, g), h = value_grad(b), None  # h: inverse Hessian estimate
+        for _ in range(200):
+            p = -g * (scale / max(np.linalg.norm(g), 1e-300)) if h is None else -h @ g
+            if not p @ g < 0:  # stationary point or lost descent direction
+                break
+            t, (f_new, g_new) = 1.0, value_grad(b + p)
+            while f_new > f + 1e-4 * t * (p @ g) and t > 1e-12:
+                t *= 0.5
+                f_new, g_new = value_grad(b + t * p)
+            if not f_new < f:
+                break
+            s, y = t * p, g_new - g
+            b, f, g = b + s, f_new, g_new
+            if (sy := s @ y) > 0:
+                h = sy / (y @ y) * eye if h is None else h
+                u = eye - np.outer(s, y) / sy
+                h = u @ h @ u.T + np.outer(s, s) / sy
+        best = min(best, (f, b), key=lambda r: r[0])
+    return best
 
 
 def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:

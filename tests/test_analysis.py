@@ -13,6 +13,7 @@ from wignerlab.analysis import (
     purity_scan,
     reduced_purities,
     wigner_at_origin,
+    wigner_minimum,
     wigner_purity,
 )
 from wignerlab.errors import (
@@ -97,6 +98,21 @@ class TestWignerAtOrigin:
             assert origin == pytest.approx(
                 nongaussian_wigner(v, op)(np.zeros(v.shape[0])), rel=1e-12
             )
+
+
+class TestWignerMinimum:
+    def test_vacuum_add_minimum_at_origin(self):
+        w = nongaussian_wigner(np.eye(2), add(X1))
+        val, pt = wigner_minimum(w, n_starts=8)
+        assert val == pytest.approx(-1.0 / TWO_PI, abs=1e-10)
+        assert np.linalg.norm(pt) < 1e-5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_above_origin_value(self, seed):
+        v, g = random_case(seed, max_modes=2, mixed=False)
+        op = add(g)
+        val, _ = wigner_minimum(nongaussian_wigner(v, op), n_starts=6, seed=seed)
+        assert val <= wigner_at_origin(v, op) + 1e-12
 
 
 class TestMarginalWigner:
