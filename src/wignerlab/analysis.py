@@ -17,6 +17,11 @@
   ``g`` leaves the state separable under passive optics iff the (g, Jg)
   plane is an invariant subspace of ``V``; otherwise the entanglement cannot
   be undone by any interferometer.
+
+The witness and both purities of one mode are one row of :func:`plane_scan`,
+which evaluates them for a batch of modes from the 2x2 plane blocks of ``V``
+and ``V^-1``.  :func:`marginal_wigner` is the general route to the reduced
+Wigner function of any polynomial Gaussian, in (g, Jg) coordinates.
 """
 
 from __future__ import annotations
@@ -26,25 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CovarianceError, DimensionError, SubtractionUndefinedError
-from .gaussian import (
-    _check_symmetric,
-    gaussian_purity,
-    gaussian_wigner,
-    is_pure,
-    reduce_to_mode,
-)
-from .phase_space import (
-    apply_j,
-    as_mode,
-    basis_change_matrix,
-    complete_symplectic_basis,
-    mode_projector,
-    random_mode,
-)
+from .gaussian import _check_symmetric, gaussian_wigner, is_pure
+from .phase_space import apply_j, as_mode, mode_projector, random_mode
 from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
-    covariance_correction,
     evaluate_wigner,
     mean_photon_number,
     nongaussian_wigner,
@@ -80,32 +71,26 @@ class PurityReport:
 
 
 def negativity_witness(v: np.ndarray, op: PhotonOpSpec) -> WitnessReport:
-    """Decide Wigner negativity from ``(g, V^-1 g) + (Jg, V^-1 Jg)``."""
-    v = _check_symmetric(v)
-    require_photons(op.kind, mean_photon_number(v, op.mode))
-    g = op.mode
-    jg = apply_j(g)
-    v_inv = np.linalg.inv(v)
-    value = float(g @ v_inv @ g + jg @ v_inv @ jg)
-    threshold = WITNESS_THRESHOLD[op.kind]
-    return WitnessReport(value=value, threshold=threshold, negative=value > threshold)
+    """Decide Wigner negativity from ``(g, V^-1 g) + (Jg, V^-1 Jg)``.
+
+    One row of :func:`plane_scan`.
+    """
+    row = plane_scan(v, op.kind, [op.mode])
+    return WitnessReport(
+        value=float(row.witness[0]),
+        threshold=WITNESS_THRESHOLD[op.kind],
+        negative=bool(row.negative[0]),
+    )
 
 
 def wigner_at_origin(v: np.ndarray, op: PhotonOpSpec) -> float:
     """Wigner value at the phase-space origin, where the bracket is minimal.
 
-    ``W(0) = (2 - tr(V^-1 A)) / 2 * (2 pi)^-m (det V)^-1/2``; its sign agrees
-    with :func:`negativity_witness` on every valid input.
+    :func:`nongaussian_wigner` evaluated at 0; its sign agrees with
+    :func:`negativity_witness` on every valid input.
     """
-    v = _check_symmetric(v)
-    m = v.shape[0] // 2
-    a = covariance_correction(v, op)
-    v_inv = np.linalg.inv(v)
-    sign, logdet = np.linalg.slogdet(v)
-    if sign <= 0:
-        raise CovarianceError("covariance matrix not positive definite")
-    w0 = np.exp(-0.5 * logdet - m * np.log(2.0 * np.pi))
-    return float(0.5 * (2.0 - np.trace(v_inv @ a)) * w0)
+    w = nongaussian_wigner(v, op)
+    return w(np.zeros(w.dim))
 
 
 def wigner_minimum(
@@ -152,58 +137,41 @@ def wigner_minimum(
 def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:
     """Integrate all modes but ``g`` out of a polynomial Gaussian Wigner.
 
-    Rotates to a basis whose first plane is (g, Jg), then applies the
-    Gaussian conditional-moment identities: with ``z | u`` Gaussian of mean
-    ``C u + d`` and covariance ``S``, the conditional expectation of the
-    quadratic polynomial is again quadratic in ``u`` with an extra
-    ``tr(M_zz S)``.  The result lives on the two plane coordinates and keeps
-    total integral one.
+    The result lives on the plane coordinates ``u = G^T b``, ``G = [g, Jg]``,
+    for every mode count, and keeps total integral one.  Under the base
+    Gaussian, ``b | u`` is Gaussian with mean ``K u + d`` and covariance
+    ``S``, where
+
+        R = G^T V G,  K = V G R^-1,  d = mean - K G^T mean,  S = V - K G^T V,
+
+    so the conditional expectation of the quadratic polynomial is again
+    quadratic in ``u``: ``M -> K^T M K``, ``lin -> K^T (lin + 2 M d)`` and
+    ``const -> const + lin.d + d.M d + tr(M S)``, on the base Gaussian
+    ``N(u; G^T mean, R)``.
     """
     g = as_mode(g)
     if g.size != w.dim:
         raise DimensionError("mode vector dimension does not match the state")
-    if w.dim == 2:
-        return w
-    t = basis_change_matrix(complete_symplectic_basis(g))
-    # plane coordinates occupy slots (0, m) after the xxpp reordering
-    m = w.dim // 2
-    keep = [0, m]
-    drop = [i for i in range(w.dim) if i not in keep]
-
-    cov = t.T @ w.cov @ t
-    quad = t.T @ w.quad @ t
-    lin = t.T @ w.lin
-    mean = t.T @ w.mean
-
-    v_uu = cov[np.ix_(keep, keep)]
-    v_zu = cov[np.ix_(drop, keep)]
-    v_zz = cov[np.ix_(drop, drop)]
-    c = v_zu @ np.linalg.inv(v_uu)
-    cond_cov = v_zz - c @ v_zu.T
-
-    m_uu = quad[np.ix_(keep, keep)]
-    m_uz = quad[np.ix_(keep, drop)]
-    m_zz = quad[np.ix_(drop, drop)]
-    b_u = lin[keep]
-    b_z = lin[drop]
-    mu_u = mean[keep]
-    mu_z = mean[drop]
-    d = mu_z - c @ mu_u
-
-    quad_out = m_uu + m_uz @ c + c.T @ m_uz.T + c.T @ m_zz @ c
-    lin_out = b_u + c.T @ b_z + 2.0 * m_uz @ d + 2.0 * c.T @ m_zz @ d
-    const_out = (
+    plane = np.column_stack([g, apply_j(g)])  # G
+    vg = w.cov @ plane
+    r = plane.T @ vg
+    k = vg @ np.linalg.inv(r)
+    d = w.mean - k @ (plane.T @ w.mean)
+    cond_cov = w.cov - k @ vg.T
+    md = w.quad @ d
+    quad = k.T @ w.quad @ k
+    const = (
         w.const
-        + float(b_z @ d)
-        + float(d @ m_zz @ d)
-        + float(np.trace(m_zz @ cond_cov))
+        + float(w.lin @ d)
+        + float(d @ md)
+        + float(np.trace(w.quad @ cond_cov))
     )
     return PolyGaussianWigner(
-        quad=0.5 * (quad_out + quad_out.T),
-        lin=lin_out,
-        const=const_out,
-        cov=0.5 * (v_uu + v_uu.T),
-        mean=mu_u,
+        quad=0.5 * (quad + quad.T),
+        lin=k.T @ (w.lin + 2.0 * md),
+        const=const,
+        cov=0.5 * (r + r.T),
+        mean=plane.T @ w.mean,
     )
 
 
@@ -240,10 +208,12 @@ def wigner_purity(w: PolyGaussianWigner) -> float:
 
 
 def reduced_purities(v: np.ndarray, op: PhotonOpSpec) -> PurityReport:
-    """Purity of mode ``g`` after the photon operation and before it."""
-    mu0 = gaussian_purity(reduce_to_mode(v, op.mode))
-    mu = wigner_purity(marginal_wigner(nongaussian_wigner(v, op), op.mode))
-    return PurityReport(mu=mu, mu0=mu0)
+    """Purity of mode ``g`` after the photon operation and before it.
+
+    One row of :func:`plane_scan`.
+    """
+    row = plane_scan(v, op.kind, [op.mode])
+    return PurityReport(mu=float(row.mu[0]), mu0=float(row.mu0[0]))
 
 
 @dataclass(frozen=True)

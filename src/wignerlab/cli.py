@@ -137,6 +137,15 @@ def _write_scan(args, modes: np.ndarray, columns: dict, header: str = "") -> Non
             out.write(",".join([str(i)] + cells) + "\n")
 
 
+def _plane_grid(extent: float, n: int, h: np.ndarray):
+    """``n x n`` grid over ``[-extent, extent]^2``: the ``(u1, u2)`` pairs and
+    the phase-space points ``u1 h + u2 Jh``."""
+    axis = np.linspace(-extent, extent, n)
+    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
+    flat = np.stack([b1.ravel(), b2.ravel()], axis=-1)
+    return flat, flat[:, :1] * h[None, :] + flat[:, 1:] * apply_j(h)[None, :]
+
+
 def cmd_validate(args) -> int:
     cov = load_covariance(args.state)
     try:
@@ -161,10 +170,7 @@ def cmd_wigner_grid(args) -> int:
     w = photon_ops.nongaussian_wigner(cov.matrix, op)
     witness = analysis.negativity_witness(cov.matrix, op)
 
-    axis = np.linspace(-args.range, args.range, args.grid)
-    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
-    flat = np.stack([b1.ravel(), b2.ravel()], axis=-1)
-    points = flat[:, :1] * plane[None, :] + flat[:, 1:] * apply_j(plane)[None, :]
+    flat, points = _plane_grid(args.range, args.grid, plane)
     values = w(points)
 
     with _open_out(args) as out:
@@ -292,11 +298,7 @@ def cmd_oracle_check(args) -> int:
     v, op, state, xi = _preset_case(args.preset, cutoff)
     op_state, _ = fock.apply_photon_op(state, op)
 
-    axis = np.linspace(-4.0, 4.0, 21)
-    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
-    flat = np.stack([b1.ravel(), b2.ravel()], axis=-1)
-    plane = op.mode
-    points = flat[:, :1] * plane[None, :] + flat[:, 1:] * apply_j(plane)[None, :]
+    _, points = _plane_grid(4.0, 21, op.mode)
 
     if xi is None:
         analytic = photon_ops.nongaussian_wigner(v, op)(points)

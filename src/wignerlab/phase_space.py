@@ -24,6 +24,11 @@ from .errors import DimensionError, ModeValidationError
 #: silently renormalised (absorbs file-format rounding without masking bugs).
 MODE_NORM_TOL = 1e-9
 
+#: Norms this close to 1 are 1 to rounding and are kept as they are: dividing
+#: a normalised vector by its computed norm moves it by an ulp, so without
+#: this a mode validated twice would not keep its bits.
+_MODE_ROUNDING_TOL = 1e-14
+
 
 def _even_dim(size: int) -> int:
     if size == 0 or size % 2:
@@ -57,6 +62,9 @@ def apply_j(f: np.ndarray) -> np.ndarray:
 def as_mode(f: np.ndarray) -> np.ndarray:
     """Validate a mode vector and return a normalised read-only copy.
 
+    Idempotent: a vector already normalised to rounding is returned with its
+    bits unchanged.
+
     Raises:
         DimensionError: for odd or zero length.
         ModeValidationError: if the norm deviates from 1 by more than
@@ -71,7 +79,8 @@ def as_mode(f: np.ndarray) -> np.ndarray:
         raise ModeValidationError(
             f"mode vector norm {norm!r} deviates from 1 beyond {MODE_NORM_TOL}"
         )
-    f /= norm
+    if abs(norm - 1.0) > _MODE_ROUNDING_TOL:
+        f /= norm
     f.flags.writeable = False
     return f
 

@@ -12,7 +12,8 @@ is a closed-form consequence of ``A``:
 * truncated correlations (joint cumulants) of every even order,
 * the characteristic function,
 * the Wigner function, an explicit quadratic polynomial times the original
-  Gaussian,
+  Gaussian, built by one constructor (:func:`displaced_poly_wigner`, of
+  which :func:`nongaussian_wigner` is the undisplaced case),
 * a convex decomposition of mixed-state results into displaced pure-state
   Wigner functions with classical Gaussian weights.
 
@@ -323,21 +324,10 @@ def nongaussian_wigner(v: np.ndarray, op: PhotonOpSpec) -> PolyGaussianWigner:
 
     ``W(b) = 1/2 [ (b, V^-1 A V^-1 b) - tr(V^-1 A) + 2 ] W0(b)`` with ``W0``
     the Wigner function of the initial state.  The quadratic part is positive
-    semidefinite, so the bracket is smallest at the origin.
+    semidefinite, so the bracket is smallest at the origin.  Built as the
+    undisplaced case of :func:`displaced_poly_wigner`, for any covariance.
     """
-    v = _check_symmetric(v)
-    a = covariance_correction(v, op)
-    v_inv = np.linalg.inv(v)
-    quad = 0.5 * v_inv @ a @ v_inv
-    quad = 0.5 * (quad + quad.T)
-    const = 0.5 * (2.0 - float(np.trace(v_inv @ a)))
-    return PolyGaussianWigner(
-        quad=quad,
-        lin=np.zeros(v.shape[0]),
-        const=const,
-        cov=v,
-        mean=np.zeros(v.shape[0]),
-    )
+    return displaced_poly_wigner(v, np.zeros(op.mode.size), op, allow_mixed_base=True)
 
 
 def decompose_pure_noise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,6 +373,8 @@ def displaced_poly_wigner(
     if not (allow_mixed_base or is_pure(v)):
         raise CovarianceError("pure base covariance required")
     dim = v.shape[0]
+    if op.mode.size != dim:
+        raise DimensionError("operation mode and covariance dimensions differ")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise DimensionError("displacement dimension does not match the state")

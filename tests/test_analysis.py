@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, random_case
 from wignerlab.analysis import (
+    WITNESS_THRESHOLD,
     marginal_wigner,
     negativity_witness,
     passive_separability_witness,
@@ -30,7 +31,12 @@ from wignerlab.gaussian import (
     reduce_to_mode,
     williamson,
 )
-from wignerlab.phase_space import basis_change_matrix, complete_symplectic_basis, random_mode
+from wignerlab.phase_space import (
+    apply_j,
+    basis_change_matrix,
+    complete_symplectic_basis,
+    random_mode,
+)
 from wignerlab.photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
@@ -42,6 +48,14 @@ from wignerlab.photon_ops import (
 
 X1 = np.array([1.0, 0.0])
 TWO_PI = 2.0 * np.pi
+
+
+@pytest.mark.parametrize(
+    "fn", [nongaussian_wigner, wigner_at_origin, negativity_witness, reduced_purities]
+)
+def test_mode_dimension_mismatch_rejected(fn):
+    with pytest.raises(DimensionError):
+        fn(np.eye(4), add(X1))
 
 
 class TestNegativityWitness:
@@ -118,7 +132,20 @@ class TestWignerMinimum:
 class TestMarginalWigner:
     def test_single_mode_identity(self):
         w = nongaussian_wigner(np.diag([0.5, 2.0]), subtract(X1))
-        assert marginal_wigner(w, X1) is w
+        w1 = marginal_wigner(w, X1)
+        for field in ("quad", "lin", "const", "cov", "mean"):
+            np.testing.assert_allclose(
+                getattr(w1, field), getattr(w, field), rtol=0, atol=1e-15
+            )
+
+    def test_single_mode_plane_coordinates(self):
+        # (g, Jg) = (p, -x): the marginal is in plane coordinates like
+        # reduce_to_mode, not in the state's (x, p)
+        v = np.diag([3.0, 0.5])
+        g = np.array([0.0, 1.0])
+        w = marginal_wigner(nongaussian_wigner(v, subtract(g)), g)
+        np.testing.assert_allclose(w.cov, reduce_to_mode(v, g), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w.cov, np.diag([0.5, 3.0]), rtol=0, atol=1e-15)
 
     def test_product_state_factorizes(self):
         v = np.diag([0.5, 1.0, 2.0, 1.0])
@@ -263,15 +290,18 @@ class TestPlaneScan:
             assume(any(keep))
             modes = modes[keep]
         scan = plane_scan(v, kind, modes)
+        v_inv = np.linalg.inv(v)
         for i, g in enumerate(modes):
-            op = PhotonOpSpec(kind, g)
-            rep = reduced_purities(v, op)
-            witness = negativity_witness(v, op)
+            # the general path: full Wigner function, marginal, purity integral
+            mu = wigner_purity(marginal_wigner(nongaussian_wigner(v, PhotonOpSpec(kind, g)), g))
+            mu0 = gaussian_purity(reduce_to_mode(v, g))
+            jg = apply_j(g)
+            witness = g @ v_inv @ g + jg @ v_inv @ jg
             got = [scan.witness[i], scan.mu0[i], scan.mu[i], scan.nbar[i]]
-            want = [witness.value, rep.mu0, rep.mu, mean_photon_number(v, g)]
+            want = [witness, mu0, mu, mean_photon_number(v, g)]
             # relative 1e-12; the absolute floor covers n near zero for addition
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-            assert scan.negative[i] == witness.negative
+            assert scan.negative[i] == (witness > WITNESS_THRESHOLD[kind])
 
     def test_rejects_malformed_modes(self):
         v = np.eye(4)

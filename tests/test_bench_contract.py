@@ -6,11 +6,16 @@ break is recorded as incorrect.  These tests import the harness unchanged
 and fail in the suite instead.
 """
 
+import csv
 import importlib
 import os
 import sys
 
+import numpy as np
 import pytest
+
+from wignerlab.analysis import negativity_witness, reduced_purities
+from wignerlab.photon_ops import PhotonOpSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
@@ -37,3 +42,43 @@ def test_first_op_passes_its_check(name, tmp_path):
     workload = workloads.WORKLOADS[name](1, str(tmp_path))
     inp = workload.make_input(0)
     assert workload.check(inp, workload.run(inp)) == []
+
+
+@pytest.mark.parametrize("seed, index", [(7, 248), (8, 272)])
+def test_scan_rows_equal_library_calls(seed, index, tmp_path):
+    # low-photon subtraction inputs (a purity-scan and a witness-scan); the
+    # harness re-checks sampled rows against these calls
+    workload = workloads.Scan(seed, str(tmp_path))
+    inp = workload.make_input(index)
+    out = workload.run(inp)
+    text = dict(out.parts)[f"{inp['command']}:scan.csv"].decode()
+    rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    assert len(rows) == workload.samples
+    dim = inp["v"].shape[0]
+    for row in rows:
+        g = np.array([float(row[f"g{i}"]) for i in range(dim)])
+        op = PhotonOpSpec(inp["kind"], g)
+        rep = reduced_purities(inp["v"], op)
+        assert (float(row["mu"]), float(row["mu0"])) == (rep.mu, rep.mu0)
+        if "witness" in row:
+            assert float(row["witness"]) == negativity_witness(inp["v"], op).value
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_first_op_bytes_survive_tracing(name, tmp_path):
+    # the harness marks a run incorrect when op 0 or the traced outputs
+    # differ from an untraced run of the same input
+    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+    inp = workload.make_input(0)
+    parts = [workload.run(inp).parts]
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        trace.open_op(0)
+        parts.append(workload.run(inp).parts)
+        trace.close_op()
+    finally:
+        trace.uninstall()
+    parts.append(workload.run(inp).parts)
+    assert parts[1] == parts[0]
+    assert parts[2] == parts[0]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerlab.errors import DimensionError, ModeValidationError
 from wignerlab.phase_space import (
+    MODE_NORM_TOL,
     apply_j,
     as_mode,
     basis_change_matrix,
@@ -49,6 +51,19 @@ class TestModeValidation:
     def test_rejects_far_input(self):
         with pytest.raises(ModeValidationError):
             as_mode([1.0, 1.0])
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(-0.99, 0.99),
+    )
+    def test_idempotent(self, m, seed, offset):
+        # a scan writes as_mode(x) and re-checks it through as_mode again
+        x = np.random.default_rng(seed).standard_normal(2 * m)
+        x *= (1.0 + offset * MODE_NORM_TOL) / np.linalg.norm(x)
+        once = as_mode(x)
+        assert as_mode(once).tobytes() == once.tobytes()
 
     def test_read_only(self):
         g = as_mode([1.0, 0.0])
