@@ -60,8 +60,10 @@ EXIT_SUBTRACTION = 4
 EXIT_MIXED_PURITY_SCAN = 5
 EXIT_CUTOFF = 6
 
-#: Smallest accepted value of each integer flag; below it the run exits 3.
-FLAG_MIN = {"samples": 1, "grid": 1, "cutoff": 2}
+#: Accepted range ``(low, high)`` of each integer flag; outside it the run
+#: exits 3 before any work or allocation.
+_FLAG_BOUNDS = {"samples": (1, math.inf), "grid": (1, math.inf),
+                "cutoff": (2, fock.MAX_SUGGESTED_CUTOFF)}
 
 
 def _fmt(x) -> str:
@@ -71,10 +73,12 @@ def _fmt(x) -> str:
 
 def _check_flags(args) -> None:
     """Reject numeric flags outside their domain before any work starts."""
-    for name, low in FLAG_MIN.items():
+    for name, (low, high) in _FLAG_BOUNDS.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ParseError(f"--{name} must be at least {low}, got {value}")
+        if value is not None and value > high:
+            raise ParseError(f"--{name} must be at most {high}, got {value}")
     extent = getattr(args, "range", None)
     if extent is not None and not (math.isfinite(extent) and extent > 0.0):
         raise ParseError(f"--range must be finite and positive, got {extent!r}")
@@ -123,18 +127,30 @@ def _open_out(args):
         yield out
 
 
+def _write_csv(args, comments: list[str], columns: dict) -> None:
+    """CSV: ``#`` provenance lines, the column names, then one row per entry
+    of the equal-length 1-D ``columns``.  Cells read as ``_fmt`` writes them:
+    integers and floats by ``repr``, flags as 0/1."""
+    cells = []
+    for col in columns.values():
+        col = np.asarray(col)
+        cells.append((col.astype(int) if col.dtype == bool else col).tolist())
+    with _open_out(args) as out:
+        out.writelines(f"# {line}\n" for line in comments)
+        out.write(",".join(columns) + "\n")
+        out.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+
+
 def _write_scan(args, modes: np.ndarray, columns: dict, header: str = "") -> None:
     """Scan CSV: provenance header, then per sample its index, mode and ``columns``."""
-    names = [f"g{i}" for i in range(modes.shape[1])] + list(columns)
-    with _open_out(args) as out:
-        out.write(
-            f"# wignerlab {args.command} ordering={ORDERING} scaling={SCALING} "
-            f"op={args.op} samples={len(modes)} seed={args.seed}{header}\n"
-        )
-        out.write(",".join(["sample"] + names) + "\n")
-        for i, g in enumerate(modes):
-            cells = [_fmt(x) for x in g] + [_fmt(col[i]) for col in columns.values()]
-            out.write(",".join([str(i)] + cells) + "\n")
+    _write_csv(args, [
+        f"wignerlab {args.command} ordering={ORDERING} scaling={SCALING} "
+        f"op={args.op} samples={len(modes)} seed={args.seed}{header}"
+    ], {
+        "sample": np.arange(len(modes)),
+        **{f"g{i}": g for i, g in enumerate(modes.T)},
+        **columns,
+    })
 
 
 def _plane_grid(extent: float, n: int, h: np.ndarray):
@@ -173,19 +189,13 @@ def cmd_wigner_grid(args) -> int:
     flat, points = _plane_grid(args.range, args.grid, plane)
     values = w(points)
 
-    with _open_out(args) as out:
-        out.write(
-            f"# wignerlab wigner-grid ordering={ORDERING} scaling={SCALING} "
-            f"op={args.op} mode={args.mode} plane={args.plane or args.mode} "
-            f"grid={args.grid} range={_fmt(args.range)} seed={args.seed}\n"
-        )
-        out.write(
-            f"# min_w={_fmt(values.min())} witness={_fmt(witness.value)} "
-            f"threshold={_fmt(witness.threshold)} negative={witness.negative}\n"
-        )
-        out.write("beta1,beta2,w\n")
-        for (x, y), val in zip(flat, values):
-            out.write(f"{_fmt(x)},{_fmt(y)},{_fmt(val)}\n")
+    _write_csv(args, [
+        f"wignerlab wigner-grid ordering={ORDERING} scaling={SCALING} "
+        f"op={args.op} mode={args.mode} plane={args.plane or args.mode} "
+        f"grid={args.grid} range={_fmt(args.range)} seed={args.seed}",
+        f"min_w={_fmt(values.min())} witness={_fmt(witness.value)} "
+        f"threshold={_fmt(witness.threshold)} negative={witness.negative}",
+    ], {"beta1": flat[:, 0], "beta2": flat[:, 1], "w": values})
     print(f"min W on grid = {_fmt(values.min())}")
     print(f"witness = {_fmt(witness.value)}; negative = {witness.negative}")
     return EXIT_OK

@@ -17,6 +17,13 @@ and ``Pi`` the photon-number parity.  For the vacuum the expectation is
 vacuum Wigner function is ``(2 pi)^-m exp(-|beta|^2 / 2)``; hence
 ``s_m = (2 pi)^-m`` exactly.
 
+Truncated correlations come from polarised one-quadrature cumulants.  The
+joint cumulant is a symmetric multilinear form, so it equals
+``sum over sign patterns s of prod(s) kappa_n(Q(sum s_i f_i)) / (2^n n!)``.
+The truncated quadrature is Hermitian, so ``ceil(n/2)`` ladder passes per
+pattern give every moment ``<Q^j> = <Q^floor(j/2) psi, Q^(j-floor(j/2)) psi>``
+up to order ``n``, and the one-variable recursion turns them into ``kappa_n``.
+
 Mixed Gaussian states are never represented here: density matrices would
 dwarf the oracle, and the package handles mixedness by classical mixtures of
 displaced pure states.
@@ -77,11 +84,16 @@ def vacuum_state(modes: int, cutoff: int) -> FockState:
     return FockState(amp)
 
 
-def _mode_coefficients(g: np.ndarray) -> np.ndarray:
-    """Annihilation coefficients of mode ``g``: ``a(g) = sum c_j a_j``."""
+def _mode_coefficients(g: np.ndarray, modes: int) -> np.ndarray:
+    """Annihilation coefficients of mode ``g``: ``a(g) = sum c_j a_j``.
+
+    Raises:
+        DimensionError: ``g`` is not a mode of a ``modes``-mode state.
+    """
     g = as_mode(g)
-    m = g.size // 2
-    return g[:m] - 1j * g[m:]
+    if g.size != 2 * modes:
+        raise DimensionError(f"mode of length {g.size} does not match {modes} modes")
+    return g[:modes] - 1j * g[modes:]
 
 
 def _ladder(psi: np.ndarray, low, high, out: np.ndarray,
@@ -118,10 +130,8 @@ def apply_photon_op(state: FockState, op: PhotonOpSpec) -> tuple[FockState, floa
         SubtractionUndefinedError: subtraction from a vacuum-like mode.
         CutoffError: addition pushed the whole state past the cutoff.
     """
-    if op.mode.size != 2 * state.modes:
-        raise DimensionError("operation mode does not match the state")
     psi = state.amplitudes
-    c = _mode_coefficients(op.mode)
+    c = _mode_coefficients(op.mode, state.modes)
     zero = np.zeros_like(c)
     low, high = (c, zero) if op.kind == "subtract" else (zero, np.conj(c))
     amp = _ladder(psi, low, high, np.empty(psi.shape, complex),
@@ -395,9 +405,15 @@ def fock_wigner(state: FockState, beta) -> np.ndarray:
 
 
 def fock_characteristic(state: FockState, alpha) -> complex:
-    """``<exp(i Q(alpha))>`` via per-mode displacements ``D(i lambda_j)``."""
+    """``<exp(i Q(alpha))>`` via per-mode displacements ``D(i lambda_j)``.
+
+    Raises:
+        DimensionError: ``alpha`` is not a phase-space vector of the state.
+    """
     alpha = np.asarray(alpha, dtype=float)
     m = state.modes
+    if alpha.shape != (2 * m,):
+        raise DimensionError("characteristic argument does not match the state")
     psi = state.amplitudes
     for j in range(m):
         lam = alpha[j] + 1j * alpha[m + j]
@@ -427,80 +443,48 @@ def fock_covariance(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 def fock_mean_photon(state: FockState, g: np.ndarray) -> float:
     """``<n(g)>``: squared norm of ``a(g) psi``."""
     psi = state.amplitudes
-    low = _ladder(psi, _mode_coefficients(g), np.zeros(state.modes),
+    low = _ladder(psi, _mode_coefficients(g, state.modes), np.zeros(state.modes),
                   np.empty(psi.shape, complex), np.empty(psi.shape, complex))
     return float(np.vdot(low, low).real)
 
 
-def _symmetrized_moment(psi: np.ndarray, fs: list[np.ndarray]) -> float:
-    """Weyl-symmetrised moment ``<Sym(Q(f_1) ... Q(f_k))>``.
-
-    Polarisation identity: the symmetrised product is
-    ``sum over sign patterns s of prod(s) Q(sum s_i f_i)^k / (2^k k!)``,
-    which needs only powers of single quadratures.
-    """
-    k = len(fs)
-    m = psi.ndim
-    even, odd, scratch = (np.empty(psi.shape, complex) for _ in range(3))
-    total = 0.0
-    for signs in product((1.0, -1.0), repeat=k):
-        h = sum(s * f for s, f in zip(signs, fs))
-        c = h[:m] - 1j * h[m:]
-        phi = psi
-        for step in range(k):
-            phi = _ladder(phi, c, np.conj(c), odd if step % 2 else even, scratch)
-        total += float(np.prod(signs)) * float(np.vdot(psi, phi).real)
-    return total / (2.0**k * math.factorial(k))
-
-
-def _partitions(items: tuple):
-    """All set partitions of ``items`` (small n only)."""
-    if len(items) == 1:
-        yield [items]
-        return
-    first, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
-        yield [(first,)] + part
-
-
 def fock_truncated_correlation(state: FockState, modes) -> float:
-    """Truncated correlation of ``Q(f_1) ... Q(f_n)`` from the state.
+    """Truncated correlation (joint cumulant) of ``Q(f_1) ... Q(f_n)``.
 
-    Moments are fully symmetrised (they are then the moments of the Wigner
-    distribution, matching the closed-form route); the truncation removes all
-    lower-order factorisations recursively, i.e. this is the joint cumulant.
-    Capacity bound ``n <= 6``.
+    Moments are fully symmetrised, so they are the moments of the Wigner
+    distribution and match the closed-form route.  Polarisation as in the
+    module docstring; patterns ``s`` and ``-s`` contribute equally, so
+    ``s_1 = +1`` is fixed and the sum doubled.  Capacity bound ``n <= 6``.
+
+    Raises:
+        ValueError: empty mode list.
+        DimensionError: a mode that does not match the state.
+        CapacityError: order above 6.
     """
-    fs = [np.asarray(as_mode(f)) for f in modes]
-    n = len(fs)
+    n = len(modes)
+    if n == 0:
+        raise ValueError("a truncated correlation needs at least one mode")
     if n > 6:
         raise CapacityError("oracle cumulants support order <= 6")
+    coeffs = np.array([_mode_coefficients(f, state.modes) for f in modes])
     psi = state.amplitudes
-    moment_cache: dict[tuple, float] = {}
-
-    def moment(idx: tuple) -> float:
-        if idx not in moment_cache:
-            moment_cache[idx] = _symmetrized_moment(psi, [fs[i] for i in idx])
-        return moment_cache[idx]
-
-    cumulant_cache: dict[tuple, float] = {}
-
-    def cumulant(idx: tuple) -> float:
-        if idx not in cumulant_cache:
-            val = moment(idx)
-            for part in _partitions(idx):
-                if len(part) == 1:
-                    continue
-                term = 1.0
-                for block in part:
-                    term *= cumulant(tuple(sorted(block)))
-                val -= term
-            cumulant_cache[idx] = val
-        return cumulant_cache[idx]
-
-    return cumulant(tuple(range(n)))
+    half = (n + 1) // 2
+    powers = [psi] + [np.empty(psi.shape, complex) for _ in range(half)]
+    scratch = np.empty(psi.shape, complex)
+    total = 0.0
+    for rest in product((1.0, -1.0), repeat=n - 1):
+        signs = (1.0,) + rest
+        c = np.array(signs) @ coeffs
+        for i in range(half):
+            _ladder(powers[i], c, np.conj(c), powers[i + 1], scratch)
+        mu = [float(np.vdot(powers[j // 2], powers[j - j // 2]).real)
+              for j in range(n + 1)]
+        kappa = [0.0] * (n + 1)
+        for j in range(1, n + 1):
+            kappa[j] = mu[j] - sum(math.comb(j - 1, i - 1) * kappa[i] * mu[j - i]
+                                   for i in range(1, j))
+        total += math.prod(signs) * kappa[n]
+    return 2.0 * total / (2.0**n * math.factorial(n))
 
 
 def mode_reduced_purity(state: FockState, g: np.ndarray) -> float:
@@ -508,7 +492,7 @@ def mode_reduced_purity(state: FockState, g: np.ndarray) -> float:
     axis with the basis-completion interferometer, trace the rest."""
     basis = complete_symplectic_basis(g)
     planes = basis[0::2]
-    c = np.array([_mode_coefficients(h) for h in planes])
+    c = np.array([_mode_coefficients(h, state.modes) for h in planes])
     rotated = apply_interferometer(state, c)
     amp = rotated.amplitudes.reshape(state.cutoff, -1)
     rho = amp @ amp.conj().T

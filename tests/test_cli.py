@@ -180,6 +180,7 @@ BAD_FLAGS = [
     ("oracle-check", "--cutoff", "1"),
     ("oracle-check", "--cutoff", "0"),
     ("oracle-check", "--cutoff", "-2"),
+    ("oracle-check", "--cutoff", "513"),
 ]
 
 

@@ -1,11 +1,20 @@
 """Brute-force Fock-space checks of every analytic closed form."""
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, plane_points
 from wignerlab.analysis import reduced_purities
-from wignerlab.errors import CapacityError, CutoffError, SubtractionUndefinedError
+from wignerlab.errors import (
+    CapacityError,
+    CutoffError,
+    DimensionError,
+    SubtractionUndefinedError,
+)
 from wignerlab.fock import (
     FockState,
     apply_interferometer,
@@ -250,6 +259,119 @@ class TestCumulants:
         st = vacuum_state(1, 8)
         with pytest.raises(CapacityError):
             fock_truncated_correlation(st, [X1] * 8)
+
+    def test_empty_mode_list_rejected(self):
+        with pytest.raises(ValueError):
+            fock_truncated_correlation(vacuum_state(1, 8), [])
+
+    def test_orders_one_and_two_are_mean_and_covariance(self):
+        v = random_pure_squeezed_cov(2, [2.0, -1.5], 4)
+        state = displace_state(gaussian_fock_state(v, 30), np.array([0.7, -0.4, 0.3, 0.5]))
+        state, _ = apply_photon_op(state, add(random_mode(2, 5)))
+        cov, mean = fock_covariance(state)
+        axes = np.eye(4)
+        for i in range(4):
+            assert fock_truncated_correlation(state, [axes[i]]) == pytest.approx(
+                mean[i], abs=1e-12)
+            for j in range(4):
+                assert fock_truncated_correlation(state, [axes[i], axes[j]]) == (
+                    pytest.approx(cov[i, j], abs=1e-12))
+
+
+def _reference_moment(psi: np.ndarray, cs: np.ndarray) -> float:
+    """``<Sym(Q(f_1) ... Q(f_k))>`` by polarisation over all ``2^k`` sign
+    patterns, ``sum_s prod(s) <psi, Q(sum s_i f_i)^k psi> / (2^k k!)``, with
+    ``Q`` applied ``k`` times by explicit ladder algebra to a stack holding one
+    copy of the state per pattern."""
+    k, m, n = len(cs), psi.ndim, psi.shape[0]
+    signs = np.array(list(product((1.0, -1.0), repeat=k)))
+    c = signs @ cs
+    root = np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * m)
+    phi = np.broadcast_to(psi, (len(signs),) + psi.shape)
+    for _ in range(k):
+        nxt = np.zeros(phi.shape, complex)
+        for j in range(m):
+            src, dst = np.moveaxis(phi, j + 1, 0), np.moveaxis(nxt, j + 1, 0)
+            cj = c[:, j].reshape((1, -1) + (1,) * (m - 1))
+            dst[:-1] += cj * root * src[1:]  # <k| a |k+1> = sqrt(k + 1)
+            dst[1:] += np.conj(cj) * root * src[:-1]
+        phi = nxt
+    vals = (np.conj(psi) * phi).reshape(len(signs), -1).sum(axis=1).real
+    return float(np.prod(signs, axis=1) @ vals) / (2.0**k * math.factorial(k))
+
+
+def _partitions(items: tuple):
+    """All set partitions of ``items``."""
+    if len(items) == 1:
+        yield [items]
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1:]
+        yield [(first,)] + part
+
+
+def _reference_cumulant(state: FockState, modes) -> float:
+    """Joint cumulant by the set-partition recursion over memoised
+    sub-cumulants."""
+    m = state.modes
+    cs = np.array([f[:m] - 1j * f[m:] for f in modes])  # a(f) = sum c_j a_j
+    cumulants: dict[tuple, float] = {}
+
+    def cumulant(idx: tuple) -> float:
+        if idx not in cumulants:
+            val = _reference_moment(state.amplitudes, cs[list(idx)])
+            for part in _partitions(idx):
+                if len(part) > 1:
+                    val -= math.prod(cumulant(tuple(sorted(b))) for b in part)
+            cumulants[idx] = val
+        return cumulants[idx]
+
+    return cumulant(tuple(range(len(cs))))
+
+
+class TestCumulantReference:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 2),
+        cutoff=st.integers(12, 18),
+        displaced=st.booleans(),
+        kind=st.sampled_from(["add", "subtract"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_partition_enumeration(self, m, cutoff, displaced, kind, seed):
+        rng = np.random.default_rng(seed)
+        v = random_pure_squeezed_cov(m, rng.uniform(-2.0, 2.0, size=m), rng)
+        state = gaussian_fock_state(v, cutoff)
+        if displaced:
+            # a nonzero mean makes the odd orders nonzero
+            state = displace_state(state, rng.uniform(-1.0, 1.0, size=2 * m))
+        g = random_mode(m, rng)
+        if kind == "subtract" and fock_mean_photon(state, g) < 1e-6:
+            kind = "add"
+        state, _ = apply_photon_op(state, PhotonOpSpec(kind, g))
+        for order in range(1, 7):
+            fs = [random_mode(m, rng) for _ in range(order)]
+            ref = _reference_cumulant(state, fs)
+            got = fock_truncated_correlation(state, fs)
+            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
+
+
+class TestDimensionChecks:
+    ONE_MODE = vacuum_state(1, 8)
+    TWO_MODE_VECTOR = np.array([0.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda state, g: apply_photon_op(state, add(g)),
+        lambda state, g: fock_truncated_correlation(state, [g, g]),
+        lambda state, g: fock_mean_photon(state, g),
+        lambda state, g: fock_characteristic(state, 0.5 * g),
+    ], ids=["apply_photon_op", "fock_truncated_correlation", "fock_mean_photon",
+            "fock_characteristic"])
+    def test_two_mode_vector_on_one_mode_state(self, call):
+        with pytest.raises(DimensionError):
+            call(self.ONE_MODE, self.TWO_MODE_VECTOR)
 
 
 class TestInterferometer:
