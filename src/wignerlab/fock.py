@@ -17,6 +17,16 @@ and ``Pi`` the photon-number parity.  For the vacuum the expectation is
 vacuum Wigner function is ``(2 pi)^-m exp(-|beta|^2 / 2)``; hence
 ``s_m = (2 pi)^-m`` exactly.
 
+Displacements and displaced parity share one spectrum per cutoff.  With
+``T = a + a^dag = Q diag(lam) Q^T`` (real tridiagonal), ``E(t) = diag(e^{i t
+lam})`` and the gauge ``Phi = diag(e^{i k arg(-i z)})``, the exact truncated
+``D(z) = Phi Q E(|z|) Q^T Phi^dag``.  ``T`` has zero diagonal, so
+``Pi T Pi = -T`` and ``Q^T Pi Q = R diag(sigma)`` with ``R`` the index
+reversal and ``sigma = +-1``; hence ``D(z)^dag Pi D(z) = Phi Q R diag(sigma)
+E(2|z|) Q^T Phi^dag``.  With ``z_j = -gamma_j`` each Wigner value is
+``s_m Re <R chi, (x)_j sigma E(2|z_j|) chi>``, ``chi = (x)_j Q^T Phi_j^dag
+psi``: one real GEMM per mode axis on the state's float pairs.
+
 Truncated correlations come from polarised one-quadrature cumulants.  The
 joint cumulant is a symmetric multilinear form, so it equals
 ``sum over sign patterns s of prod(s) kappa_n(Q(sum s_i f_i)) / (2^n n!)``.
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache as _lru_cache
+from functools import lru_cache as _lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -332,25 +342,22 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
 
 
 @_lru_cache(maxsize=8)
-def _ladder_spectrum(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the tridiagonal matrix with off-diagonal
-    ``sqrt(k + 1)`` and zero diagonal, shared by every displacement."""
-    return _tridiagonal_eigh(np.sqrt(np.arange(1.0, n)))
+def _ladder_spectrum(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lam``, ``Q`` and ``sigma`` of the module docstring at cutoff ``n``."""
+    lam, q = _tridiagonal_eigh(np.sqrt(np.arange(1.0, n)))
+    parity = 1.0 - 2.0 * (np.arange(n) % 2)
+    return lam, q, np.sign(parity @ (q[:, ::-1] * q))
 
 
 def _apply_displacement(psi: np.ndarray, axis: int, z: complex) -> np.ndarray:
-    """Apply ``D(z) = exp(z a^dag - conj(z) a)`` along one tensor axis.
-
-    The generator is a phase gauge away from ``|z|`` times a fixed real
-    tridiagonal matrix: with ``phi_k = k arg(-i z)`` and ``T1 = Q L Q^T``,
-    ``D(z) = Phi Q exp(i |z| L) Q^T Phi^dag``.  Exactly unitary on the
-    truncated space, stable at any cutoff, and one eigendecomposition per
-    cutoff serves every displacement amplitude.
+    """Apply ``D(z) = exp(z a^dag - conj(z) a)`` along one tensor axis as
+    ``Phi Q E(|z|) Q^T Phi^dag`` (module docstring): exactly unitary on the
+    truncated space and stable at any cutoff.
     """
     if z == 0:
         return psi.astype(complex)
     n = psi.shape[axis]
-    lam, q = _ladder_spectrum(n)
+    lam, q, _ = _ladder_spectrum(n)
     phases = np.exp(1j * np.angle(-1j * z) * np.arange(n))
     shape = [1] * psi.ndim
     shape[axis] = n
@@ -362,11 +369,18 @@ def _apply_displacement(psi: np.ndarray, axis: int, z: complex) -> np.ndarray:
 
 
 def displace_state(state: FockState, xi: np.ndarray) -> FockState:
-    """Displace by the phase-space vector ``xi`` (mean shifts by ``+xi``)."""
+    """Displace by the phase-space vector ``xi`` (mean shifts by ``+xi``).
+
+    Raises:
+        DimensionError: ``xi`` is not a phase-space vector of the state.
+        ValueError: ``xi`` is not finite.
+    """
     xi = np.asarray(xi, dtype=float)
     m = state.modes
-    if xi.size != 2 * m:
+    if xi.shape != (2 * m,):
         raise DimensionError("displacement dimension does not match the state")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must be finite")
     psi = state.amplitudes.astype(complex)
     for j in range(m):
         z = 0.5 * (xi[j] + 1j * xi[m + j])
@@ -375,33 +389,43 @@ def displace_state(state: FockState, xi: np.ndarray) -> FockState:
 
 
 def fock_wigner(state: FockState, beta) -> np.ndarray:
-    """Wigner function from displaced parity (scaling in module docstring).
+    """Wigner function from displaced parity, point by point (identity and
+    scaling in the module docstring).
 
     Valid while the displaced state fits under the cutoff: keep the grid so
     that per-mode ``|gamma|^2 = |beta_mode|^2 / 4`` stays well below it, or
     the unitary truncated displacement wraps amplitude around instead of
     letting the value decay.
+
+    Raises:
+        DimensionError: ``beta`` is not a stack of phase-space points.
+        ValueError: ``beta`` is not finite.
     """
     beta = np.asarray(beta, dtype=float)
-    squeeze = beta.ndim == 1
-    pts = np.atleast_2d(beta.reshape(-1, beta.shape[-1]))
     m = state.modes
-    if pts.shape[-1] != 2 * m:
+    if beta.ndim == 0 or beta.shape[-1] != 2 * m:
         raise DimensionError("point dimension does not match the state")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta must be finite")
+    pts = beta.reshape(-1, 2 * m)
     n = state.cutoff
-    parity = 1.0 - 2.0 * (np.arange(n) % 2)
-    scale = (2.0 * np.pi) ** (-m)
+    lam, q, sigma = _ladder_spectrum(n)
+    z = -0.5 * (pts[:, :m] + 1j * pts[:, m:])  # D(gamma)^dag = D(-gamma)
+    levels = np.arange(n)
     out = np.empty(len(pts))
-    for i, b in enumerate(pts):
-        psi = state.amplitudes
-        for j in range(m):
-            gamma = 0.5 * (b[j] + 1j * b[m + j])
-            psi = _apply_displacement(psi, j, -gamma)  # D(gamma)^dag
-        prob = np.abs(psi) ** 2
-        for j in range(m):
-            prob = np.tensordot(parity, prob, axes=([0], [0]))
-        out[i] = scale * float(prob)
-    return float(out[0]) if squeeze else out.reshape(beta.shape[:-1])
+    for i, (angle, radius) in enumerate(zip(np.angle(-1j * z), np.abs(z))):
+        gauge = reduce(np.multiply.outer, np.exp(-1j * np.outer(angle, levels)))
+        weight = reduce(np.multiply.outer, sigma * np.exp(2j * np.outer(radius, lam)))
+        # each GEMM contracts the leading axis and appends the result last;
+        # after m of them the axes are (re/im, k_1, ..., k_m)
+        work = (state.amplitudes * gauge).view(float)
+        for _ in range(m):
+            work = np.dot(work.reshape(n, -1).T, q)
+        re, im = work.reshape(2, *(n,) * m)
+        chi = re + 1j * im
+        out[i] = np.vdot(np.flip(chi), weight * chi).real
+    out *= (2.0 * np.pi) ** (-m)
+    return float(out[0]) if beta.ndim == 1 else out.reshape(beta.shape[:-1])
 
 
 def fock_characteristic(state: FockState, alpha) -> complex:
@@ -409,11 +433,14 @@ def fock_characteristic(state: FockState, alpha) -> complex:
 
     Raises:
         DimensionError: ``alpha`` is not a phase-space vector of the state.
+        ValueError: ``alpha`` is not finite.
     """
     alpha = np.asarray(alpha, dtype=float)
     m = state.modes
     if alpha.shape != (2 * m,):
         raise DimensionError("characteristic argument does not match the state")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be finite")
     psi = state.amplitudes
     for j in range(m):
         lam = alpha[j] + 1j * alpha[m + j]

@@ -17,6 +17,7 @@ from wignerlab.errors import (
 )
 from wignerlab.fock import (
     FockState,
+    _ladder_spectrum,
     apply_interferometer,
     apply_photon_op,
     displace_state,
@@ -186,6 +187,59 @@ class TestWigner:
         axis, pts = grid2d(9.0, 301)
         integral = 4.0 * np.pi * integrate2d(fock_wigner(st, pts) ** 2, axis)
         assert integral == pytest.approx(1.0, abs=2e-4)
+
+
+def _gaussian_at_cutoff(v: np.ndarray, cutoff: int) -> FockState:
+    """Pure Gaussian Fock state with ``cutoff`` levels per mode; when the
+    leakage gate rejects that cutoff, built at the suggested one, cut down and
+    renormalised."""
+    try:
+        return gaussian_fock_state(v, cutoff)
+    except CutoffError as err:
+        state = gaussian_fock_state(v, err.suggested_cutoff)
+    amp = state.amplitudes[(slice(0, cutoff),) * state.modes]
+    return FockState(amp / np.linalg.norm(amp))
+
+
+class TestDisplacedParity:
+    """``fock_wigner`` contracts ``D^dag Pi D`` in the ladder eigenbasis; the
+    reference displaces the state and sums the parity-weighted populations."""
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 80, 200, 512])
+    def test_parity_reverses_ladder_eigenbasis(self, cutoff):
+        _, q, sigma = _ladder_spectrum(cutoff)
+        parity = 1.0 - 2.0 * (np.arange(cutoff) % 2)
+        reversed_signs = np.diag(sigma)[::-1]  # R diag(sigma)
+        assert np.max(np.abs(q.T @ (parity[:, None] * q) - reversed_signs)) <= 1e-13
+        assert np.all(np.abs(sigma) == 1.0)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 3),
+        displaced=st.booleans(),
+        kind=st.sampled_from(["add", "subtract"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_two_sided_displacement(self, data, m, displaced, kind, seed):
+        cutoff = data.draw(st.integers(4, 40 if m < 3 else 14), label="cutoff")
+        rng = np.random.default_rng(seed)
+        v = random_pure_squeezed_cov(m, rng.uniform(-4.0, 4.0, size=m), rng)
+        state = _gaussian_at_cutoff(v, cutoff)
+        if displaced:
+            state = displace_state(state, rng.uniform(-1.0, 1.0, size=2 * m))
+        g = random_mode(m, rng)
+        if kind == "subtract" and fock_mean_photon(state, g) < 1e-6:
+            kind = "add"
+        state, _ = apply_photon_op(state, PhotonOpSpec(kind, g))
+        levels = np.indices((cutoff,) * m).sum(axis=0)
+        parity = 1.0 - 2.0 * (levels % 2)
+        betas = rng.normal(scale=1.5, size=(6, 2 * m))
+        ref = np.array([
+            np.sum(parity * np.abs(displace_state(state, -b).amplitudes) ** 2)
+            for b in betas
+        ]) / TWO_PI**m
+        assert np.max(np.abs(fock_wigner(state, betas) - ref)) <= 1e-13
 
 
 class TestDisplacedStates:
@@ -372,6 +426,24 @@ class TestDimensionChecks:
     def test_two_mode_vector_on_one_mode_state(self, call):
         with pytest.raises(DimensionError):
             call(self.ONE_MODE, self.TWO_MODE_VECTOR)
+
+
+class TestInputContract:
+    STATE = vacuum_state(1, 8)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda s: fock_wigner(s, 3.0), DimensionError, "point"),
+        (lambda s: fock_wigner(s, [np.nan, 0.0]), ValueError, "beta"),
+        (lambda s: fock_wigner(s, [[0.0, 0.0], [np.inf, 1.0]]), ValueError, "beta"),
+        (lambda s: fock_characteristic(s, [np.nan, 0.0]), ValueError, "alpha"),
+        (lambda s: displace_state(s, [0.0, -np.inf]), ValueError, "xi"),
+        (lambda s: displace_state(s, [[0.5, 0.0]]), DimensionError, "displacement"),
+    ], ids=["scalar-point", "nan-point", "inf-in-stack", "nan-alpha", "inf-xi",
+            "matrix-xi"])
+    def test_rejected_before_any_arithmetic(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call(self.STATE)
 
 
 class TestInterferometer:
