@@ -27,6 +27,15 @@ E(2|z|) Q^T Phi^dag``.  With ``z_j = -gamma_j`` each Wigner value is
 ``s_m Re <R chi, (x)_j sigma E(2|z_j|) chi>``, ``chi = (x)_j Q^T Phi_j^dag
 psi``: one real GEMM per mode axis on the state's float pairs.
 
+Beamsplitters conserve photon number and act on the blocks of fixed total
+``N``.  There the gauged generator ``T`` is real tridiagonal with zero
+diagonal, so it only couples even to odd local indices: ``T = [[0, B],
+[B^T, 0]]`` with ``B`` bidiagonal.  With ``B = U S V^T`` (full matrices),
+``exp(i theta T) = [[U C U^T, i U S' V^T], [i V S'^T U^T, V C' V^T]]``, where
+``S' = sin(theta S)`` and ``C``, ``C'`` are ``cos(theta S)`` padded with one
+on the null spaces: one half-size SVD per block, exactly unitary on the
+truncated space.
+
 Truncated correlations come from polarised one-quadrature cumulants.  The
 joint cumulant is a symmetric multilinear form, so it equals
 ``sum over sign patterns s of prod(s) kappa_n(Q(sum s_i f_i)) / (2^n n!)``.
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache as _lru_cache, reduce
+from functools import lru_cache as _lru_cache
 from itertools import product
 
 import numpy as np
@@ -54,7 +63,7 @@ from .errors import (
     DimensionError,
     SubtractionUndefinedError,
 )
-from .gaussian import bloch_messiah, symplectic_to_unitary, williamson
+from .gaussian import PURE_TOL, bloch_messiah, symplectic_to_unitary, williamson
 from .phase_space import as_mode, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
 
@@ -106,26 +115,44 @@ def _mode_coefficients(g: np.ndarray, modes: int) -> np.ndarray:
     return g[:modes] - 1j * g[modes:]
 
 
+@_lru_cache(maxsize=1)
+def _ladder_weights(n: int, m: int) -> np.ndarray:
+    """``w[j, i] = sqrt(k_j + 1)`` at the flat index ``i`` of an ``m``-mode
+    tensor with cutoff ``n``, zero where ``k_j`` is the top level."""
+    levels = np.indices((n,) * m).reshape(m, -1)
+    w = np.sqrt(levels + 1.0)
+    w[levels == n - 1] = 0.0
+    w.flags.writeable = False
+    return w
+
+
 def _ladder(psi: np.ndarray, low, high, out: np.ndarray,
             scratch: np.ndarray) -> np.ndarray:
     """``out = sum_j (low[j] a_j + high[j] a_j^dag) psi``; returns ``out``.
 
-    ``out`` and ``scratch`` are complex arrays of ``psi``'s shape owned by the
-    caller; the kernel allocates nothing state-sized.  Creation drops the top
-    level, annihilation empties it.
+    ``out`` and ``scratch`` are contiguous complex arrays of ``psi``'s shape
+    owned by the caller; the kernel allocates nothing state-sized.  Axis
+    ``j`` has flat stride ``s = n^(m-1-j)``, so each term is one contiguous
+    pass: ``a_j`` adds ``w_j[:-s] psi[s:]`` to ``out[:-s]`` and ``a_j^dag``
+    adds ``w_j[:-s] psi[:-s]`` to ``out[s:]``, with the weights of
+    ``_ladder_weights``.  Creation drops the top level, annihilation empties
+    it.
     """
-    n = psi.shape[0]
-    # <k| a |k+1> = <k+1| a^dag |k> = sqrt(k + 1), along the leading axis
-    root = np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * (psi.ndim - 1))
+    n, m = psi.shape[0], psi.ndim
+    weights = _ladder_weights(n, m)
+    p, o, s = psi.reshape(-1), out.reshape(-1), scratch.reshape(-1)
     out.fill(0.0)
     for axis, (cl, ch) in enumerate(zip(low, high)):
-        p, o, s = (np.moveaxis(x, axis, 0) for x in (psi, out, scratch))
+        step = n ** (m - 1 - axis)
+        w = weights[axis, :-step]
         if cl != 0:
-            np.multiply(p[1:], cl * root, out=s[:-1])
-            o[:-1] += s[:-1]
+            np.multiply(w, cl, out=s[:-step])
+            s[:-step] *= p[step:]
+            o[:-step] += s[:-step]
         if ch != 0:
-            np.multiply(p[:-1], ch * root, out=s[1:])
-            o[1:] += s[1:]
+            np.multiply(w, ch, out=s[step:])
+            s[step:] *= p[:-step]
+            o[step:] += s[step:]
     return out
 
 
@@ -159,32 +186,45 @@ def apply_photon_op(state: FockState, op: PhotonOpSpec) -> tuple[FockState, floa
     return FockState(amp, state.norm_deficit), norm_sq
 
 
+# levels summed past the cutoff; at MAX_SQUEEZING the terms underflow by ~4100
+TAIL_LEVELS = 8192
+
+
+def _leak_tails(squeezings, size: int) -> np.ndarray:
+    """Squeezed-vacuum leakage at every cutoff: ``tails[c]`` sums, over the
+    squeezings in order, ``sum_{k >= c} c_k^2`` for ``c = 0 .. size``.
+
+    The squared even amplitudes ``c_2n^2 = tanh(r)^2n (2n-1)!! / ((2n)!!
+    cosh r)`` come from one cumulative product over ``size + TAIL_LEVELS``
+    levels and are summed from the far end, so leakages far below machine
+    epsilon stay meaningful, and once the far terms underflow every cutoff
+    reads the same bits whatever ``size`` is.  ``gaussian_fock_state``'s
+    leak check and ``suggested_cutoff`` both read this sum.
+    """
+    tails = 0.0
+    half = np.arange(1.0, (size + TAIL_LEVELS) // 2)
+    for r in np.abs(np.atleast_1d(np.asarray(squeezings, dtype=float))):
+        t2 = np.tanh(r) ** 2
+        terms = np.cumprod(np.concatenate(([1.0 / np.cosh(r)],
+                                           t2 * (2.0 * half - 1.0) / (2.0 * half))))
+        # even levels k = 2i >= c  <=>  i >= ceil(c / 2)
+        tails = tails + np.cumsum(terms[::-1])[::-1][(np.arange(size + 1) + 1) // 2]
+    return tails
+
+
 def squeezed_amplitudes(r: float, cutoff: int) -> tuple[np.ndarray, float]:
     """Single-mode squeezed vacuum with ``<x^2> = e^{2r}``, ``<p^2> = e^{-2r}``.
 
     Even amplitudes ``c_2n = sqrt((2n)!) / (2^n n!) tanh(r)^n / sqrt(cosh r)``
     via a stable two-step recursion.  Returns the truncated vector (not
-    renormalised) and the leaked squared norm, accumulated term by term from
-    the tail so that leakages far below machine epsilon stay meaningful.
+    renormalised) and the leaked squared norm from ``_leak_tails``.
     """
     c = np.zeros(cutoff)
     c[0] = 1.0 / np.sqrt(np.cosh(r))
     t = np.tanh(r)
     for n in range(0, cutoff - 2, 2):
         c[n + 2] = t * np.sqrt(n + 1.0) / np.sqrt(n + 2.0) * c[n]
-    # continue the recursion past the cutoff to sum the exact tail mass
-    leak = 0.0
-    top = cutoff - 2 if cutoff % 2 == 0 else cutoff - 1
-    cur = c[top]
-    n = top
-    while True:
-        cur = t * np.sqrt(n + 1.0) / np.sqrt(n + 2.0) * cur
-        n += 2
-        term = cur * cur
-        leak += term
-        if term < 1e-40 * max(leak, 1e-30) or n > cutoff + 8192:
-            break
-    return c, float(leak)
+    return c, float(_leak_tails(r, cutoff)[cutoff])
 
 
 def _phases(psi: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -197,32 +237,45 @@ def _phases(psi: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _tridiagonal_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the real symmetric tridiagonal matrix with zero diagonal
-    and off-diagonal ``off``."""
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-
-
 def _beamsplitter(psi: np.ndarray, ax1: int, ax2: int, theta, phi) -> np.ndarray:
     """Apply ``exp(theta (e^{i phi} a1^dag a2 - e^{-i phi} a2^dag a1))``.
 
     Photon number is conserved, so the rotation acts block-by-block on the
     anti-diagonals of the two axes.  On the block of total number ``N`` the
     gauge ``D = diag(c^k)``, ``c = -i e^{i phi}``, turns the generator into
-    ``i theta T`` with ``T`` real tridiagonal, off-diagonal
-    ``sqrt((k+1)(N-k))``; with ``T = Q L Q^T`` the block is
-    ``D Q exp(i theta L) Q^T D^*``, exactly unitary on the truncated space
-    (Miatto & Quesada, Quantum 4, 366 (2020)).
+    ``i theta T`` with ``T`` real tridiagonal, zero diagonal, off-diagonal
+    ``sqrt((k+1)(N-k))`` (Miatto & Quesada, Quantum 4, 366 (2020)).  ``T``
+    only couples even to odd local indices, ``T = [[0, B], [B^T, 0]]`` with
+    ``B`` bidiagonal; with ``B = U S V^T`` (full matrices) the block is
+    ``D [[U cos U^T, i U sin V^T], [i V sin^T U^T, V cos V^T]] D^*`` for
+    ``cos``/``sin`` of ``theta S``, the cosines padded with one on the null
+    space: exactly unitary on the truncated space.  All-zero blocks are
+    left alone.
     """
+    def real_dot(a, z):  # real matrix times complex rows, as one real GEMM
+        return (a @ z.view(float)).view(complex)
+
     n = psi.shape[ax1]
     moved = np.moveaxis(psi, (ax1, ax2), (0, 1))
     work = moved.reshape(n, n, -1).copy()
     for total in range(1, 2 * n - 2):
         ks = np.arange(max(0, total - n + 1), min(total, n - 1) + 1)
-        lam, q = _tridiagonal_eigh(np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1])))
+        block = work[ks, total - ks]
+        if not block.any():
+            continue
+        off = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        p = len(ks) // 2
+        b = np.zeros((len(ks) - p, p))  # rows: even local indices, columns: odd
+        b[range(p), range(p)] = off[0::2]
+        b[range(1, len(ks) - p), range(len(ks) - p - 1)] = off[1::2]
+        u, sv, vt = np.linalg.svd(b)
+        cos, isin = np.cos(theta * sv)[:, None], 1j * np.sin(theta * sv)[:, None]
         gauge = np.exp(1j * (phi - 0.5 * np.pi) * ks)[:, None]
-        block = q.T @ (np.conj(gauge) * work[ks, total - ks])
-        work[ks, total - ks] = gauge * (q @ (np.exp(1j * theta * lam)[:, None] * block))
+        block *= np.conj(gauge)
+        even, odd = real_dot(u.T, block[0::2]), real_dot(vt, block[1::2])
+        even[:p], odd = cos * even[:p] + isin * odd, cos * odd + isin * even[:p]
+        block[0::2], block[1::2] = real_dot(u, even), real_dot(vt.T, odd)
+        work[ks, total - ks] = gauge * block
     return np.moveaxis(work.reshape(moved.shape), (0, 1), (ax1, ax2))
 
 
@@ -282,12 +335,9 @@ def apply_interferometer(state: FockState, u: np.ndarray) -> FockState:
 
 def suggested_cutoff(squeezings, leak_tol: float = LEAK_TOL) -> int:
     """Smallest even cutoff keeping total squeezed-vacuum leakage under tol."""
-    rs = np.atleast_1d(np.asarray(squeezings, dtype=float))
+    leaks = _leak_tails(squeezings, MAX_SUGGESTED_CUTOFF)
     for cutoff in range(8, MAX_SUGGESTED_CUTOFF + 1, 2):
-        total = 0.0
-        for r in rs:
-            total += squeezed_amplitudes(abs(r), cutoff)[1]
-        if total < leak_tol:
+        if leaks[cutoff] < leak_tol:
             return cutoff
     raise CutoffError(
         f"no cutoff up to {MAX_SUGGESTED_CUTOFF} reaches leakage {leak_tol}"
@@ -313,7 +363,7 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
     if m > MAX_MODES:
         raise DimensionError(f"oracle supports at most {MAX_MODES} modes")
     wl = williamson(v)
-    if np.max(np.abs(wl.nu - 1.0)) > 1e-6:
+    if np.max(np.abs(wl.nu - 1.0)) > PURE_TOL:
         raise ValueError("oracle states must be pure (unit symplectic spectrum)")
     bm = bloch_messiah(wl.s)
     rs = np.log(bm.squeezing)
@@ -322,17 +372,13 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
             f"squeezing {np.max(rs):.3f} nats exceeds the oracle bound "
             f"{MAX_SQUEEZING}"
         )
-    kets = []
-    total_leak = 0.0
-    for r in rs:
-        ket, leak = squeezed_amplitudes(r, cutoff)
-        kets.append(ket)
-        total_leak += leak
+    total_leak = float(_leak_tails(rs, cutoff)[cutoff])
     if total_leak > LEAK_TOL:
         raise CutoffError(
             f"cutoff {cutoff} leaks {total_leak:.3e} > {LEAK_TOL:.0e}",
             suggested_cutoff=suggested_cutoff(rs),
         )
+    kets = [squeezed_amplitudes(r, cutoff)[0] for r in rs]
     psi = kets[0].astype(complex)
     for ket in kets[1:]:
         psi = np.multiply.outer(psi, ket)
@@ -344,7 +390,8 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
 @_lru_cache(maxsize=8)
 def _ladder_spectrum(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``lam``, ``Q`` and ``sigma`` of the module docstring at cutoff ``n``."""
-    lam, q = _tridiagonal_eigh(np.sqrt(np.arange(1.0, n)))
+    root = np.sqrt(np.arange(1.0, n))
+    lam, q = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
     parity = 1.0 - 2.0 * (np.arange(n) % 2)
     return lam, q, np.sign(parity @ (q[:, ::-1] * q))
 
@@ -412,18 +459,28 @@ def fock_wigner(state: FockState, beta) -> np.ndarray:
     lam, q, sigma = _ladder_spectrum(n)
     z = -0.5 * (pts[:, :m] + 1j * pts[:, m:])  # D(gamma)^dag = D(-gamma)
     levels = np.arange(n)
+    along = [(slice(None),) + (None,) * (m - 1 - j) for j in range(m)]
+    flip = (slice(None, None, -1),) * m
+    bufs = np.empty((2,) + state.amplitudes.shape, complex)
     out = np.empty(len(pts))
     for i, (angle, radius) in enumerate(zip(np.angle(-1j * z), np.abs(z))):
-        gauge = reduce(np.multiply.outer, np.exp(-1j * np.outer(angle, levels)))
-        weight = reduce(np.multiply.outer, sigma * np.exp(2j * np.outer(radius, lam)))
+        gauge = np.exp(-1j * np.outer(angle, levels))
+        # flipped weights, so that <R chi, W chi> = <chi, flip(W chi)>
+        weight = sigma[::-1] * np.exp(2j * np.outer(radius, lam[::-1]))
+        np.multiply(state.amplitudes, gauge[0][along[0]], out=bufs[0])
+        for j in range(1, m):
+            bufs[0] *= gauge[j][along[j]]
         # each GEMM contracts the leading axis and appends the result last;
         # after m of them the axes are (re/im, k_1, ..., k_m)
-        work = (state.amplitudes * gauge).view(float)
-        for _ in range(m):
-            work = np.dot(work.reshape(n, -1).T, q)
-        re, im = work.reshape(2, *(n,) * m)
-        chi = re + 1j * im
-        out[i] = np.vdot(np.flip(chi), weight * chi).real
+        for j in range(m):
+            src, dst = bufs[j % 2].view(float), bufs[(j + 1) % 2].view(float)
+            np.dot(src.reshape(n, -1).T, q, out=dst.reshape(-1, n))
+        planes, chi = bufs[m % 2], bufs[(m + 1) % 2]
+        chi.real, chi.imag = planes.view(float).reshape((2,) + chi.shape)
+        np.multiply(chi[flip], weight[0][along[0]], out=planes)
+        for j in range(1, m):
+            planes *= weight[j][along[j]]
+        out[i] = np.vdot(chi, planes).real
     out *= (2.0 * np.pi) ** (-m)
     return float(out[0]) if beta.ndim == 1 else out.reshape(beta.shape[:-1])
 

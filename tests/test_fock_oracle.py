@@ -16,8 +16,13 @@ from wignerlab.errors import (
     SubtractionUndefinedError,
 )
 from wignerlab.fock import (
+    LEAK_TOL,
+    MAX_SUGGESTED_CUTOFF,
     FockState,
+    _beamsplitter,
+    _ladder,
     _ladder_spectrum,
+    _leak_tails,
     apply_interferometer,
     apply_photon_op,
     displace_state,
@@ -29,6 +34,7 @@ from wignerlab.fock import (
     gaussian_fock_state,
     mode_reduced_purity,
     squeezed_amplitudes,
+    suggested_cutoff,
     vacuum_state,
 )
 from wignerlab.gaussian import random_pure_squeezed_cov, random_unitary
@@ -461,6 +467,119 @@ class TestInterferometer:
         st = vacuum_state(2, 6)
         with pytest.raises(ValueError, match="unitary"):
             apply_interferometer(st, np.diag([2.0, 1.0]))
+
+
+def _reference_ladder(psi: np.ndarray, low, high) -> np.ndarray:
+    """``sum_j (low[j] a_j + high[j] a_j^dag) psi`` on ``np.moveaxis`` views."""
+    n = psi.shape[0]
+    root = np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * (psi.ndim - 1))
+    out = np.zeros(psi.shape, complex)
+    for axis, (cl, ch) in enumerate(zip(low, high)):
+        p, o = np.moveaxis(psi, axis, 0), np.moveaxis(out, axis, 0)
+        o[:-1] += cl * root * p[1:]  # <k| a |k+1> = sqrt(k + 1)
+        o[1:] += ch * root * p[:-1]
+    return out
+
+
+def _reference_beamsplitter(psi: np.ndarray, ax1: int, ax2: int, theta,
+                            phi) -> np.ndarray:
+    """The beamsplitter from one dense ``eigh`` of the full tridiagonal
+    generator per photon-number block, ``D Q exp(i theta L) Q^T D^*``."""
+    n = psi.shape[ax1]
+    moved = np.moveaxis(psi, (ax1, ax2), (0, 1))
+    work = moved.reshape(n, n, -1).astype(complex)
+    for total in range(1, 2 * n - 2):
+        ks = np.arange(max(0, total - n + 1), min(total, n - 1) + 1)
+        off = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        lam, q = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        gauge = np.exp(1j * (phi - 0.5 * np.pi) * ks)[:, None]
+        block = q.T @ (np.conj(gauge) * work[ks, total - ks])
+        work[ks, total - ks] = gauge * (q @ (np.exp(1j * theta * lam)[:, None] * block))
+    return np.moveaxis(work.reshape(moved.shape), (0, 1), (ax1, ax2))
+
+
+def _random_tensor(rng, m: int, cutoff: int) -> np.ndarray:
+    shape = (cutoff,) * m
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return psi / np.linalg.norm(psi)
+
+
+class TestKernelReferences:
+    """The flat-pass ladder and the even/odd SVD beamsplitter against the
+    ``moveaxis`` and per-block ``eigh`` references."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        cutoff=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ladder_matches_moveaxis_reference(self, m, cutoff, seed):
+        rng = np.random.default_rng(seed)
+        psi = _random_tensor(rng, m, cutoff)
+        low, high = (rng.normal(size=(m, 2)) @ [1.0, 1j] for _ in range(2))
+        low[rng.random(m) < 0.3] = 0.0
+        got = _ladder(psi, low, high, np.empty(psi.shape, complex),
+                      np.empty(psi.shape, complex))
+        assert np.max(np.abs(got - _reference_ladder(psi, low, high))) <= 1e-13
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        data=st.data(),
+        theta=st.floats(-4.0, 4.0),
+        phi=st.floats(-4.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_beamsplitter_matches_eigh_reference(self, m, data, theta, phi, seed):
+        cutoff = data.draw(st.integers(2, 30), label="cutoff")
+        ax1, ax2 = data.draw(st.permutations(range(m)), label="axes")[:2]
+        psi = _random_tensor(np.random.default_rng(seed), m, cutoff)
+        got = _beamsplitter(psi, ax1, ax2, theta, phi)
+        ref = _reference_beamsplitter(psi, ax1, ax2, theta, phi)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [7, 8])
+    def test_zero_blocks_stay_exactly_zero(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        psi = _random_tensor(rng, 3, cutoff)
+        odd_total = np.add.outer(np.arange(cutoff), np.arange(cutoff)) % 2 == 1
+        psi[odd_total] = 0.0  # axes 0 and 1 carry the photon-number blocks
+        out = _beamsplitter(psi, 0, 1, 0.7, -1.3)
+        assert np.all(out[odd_total] == 0.0)
+        assert np.max(np.abs(out - _reference_beamsplitter(psi, 0, 1, 0.7, -1.3))) <= 1e-13
+
+    def test_norm_at_cutoff_200(self):
+        rng = np.random.default_rng(200)
+        out = _beamsplitter(_random_tensor(rng, 2, 200), 1, 0, 1.1, 0.4)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLeakTails:
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.7, 1.2])
+    def test_tails_do_not_depend_on_size(self, r):
+        big = _leak_tails(r, MAX_SUGGESTED_CUTOFF)
+        for size in (1, 8, 80, 200):
+            assert np.array_equal(_leak_tails(r, size), big[:size + 1])
+
+    @pytest.mark.parametrize("r", [0.1, 0.7, 1.2])
+    def test_tails_sum_the_squared_amplitudes(self, r):
+        sq = squeezed_amplitudes(r, 400)[0] ** 2
+        tails = _leak_tails(r, 400)
+        assert tails[0] == pytest.approx(1.0, abs=1e-14)
+        for c in (2, 9, 20, 60):
+            direct = np.sum(sq[c:][::-1]) + tails[400]
+            assert tails[c] == pytest.approx(direct, rel=1e-12)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(rs=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=3))
+    def test_suggested_cutoff_passes_the_leak_check(self, rs):
+        cutoff = suggested_cutoff(rs)
+        v = np.diag(np.exp(np.concatenate([2.0 * np.array(rs), -2.0 * np.array(rs)])))
+        leak = _leak_tails(rs, cutoff)[cutoff]
+        assert leak < LEAK_TOL
+        if len(rs) < 3 or cutoff <= 30:
+            assert gaussian_fock_state(v, cutoff).norm_deficit < LEAK_TOL
 
 
 class TestReducedPurityOracle:
