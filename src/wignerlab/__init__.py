@@ -50,6 +50,7 @@ from .phase_space import (
     as_mode,
     basis_change_matrix,
     complete_symplectic_basis,
+    mode_plane,
     mode_projector,
     random_mode,
     symplectic_form,

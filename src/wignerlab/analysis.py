@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CovarianceError, DimensionError, SubtractionUndefinedError
 from .gaussian import _check_symmetric, gaussian_wigner, is_pure
-from .phase_space import apply_j, as_mode, mode_projector, random_mode
+from .phase_space import as_mode, mode_plane, random_mode
 from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
@@ -152,7 +152,7 @@ def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:
     g = as_mode(g)
     if g.size != w.dim:
         raise DimensionError("mode vector dimension does not match the state")
-    plane = np.column_stack([g, apply_j(g)])  # G
+    plane = mode_plane(g)
     vg = w.cov @ plane
     r = plane.T @ vg
     k = vg @ np.linalg.inv(r)
@@ -261,7 +261,7 @@ def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
         raise DimensionError("modes must be an (n, 2m) array matching the state")
     s = 1.0 if kind == "add" else -1.0
 
-    plane = np.stack([modes, apply_j(modes)], axis=-1)  # G, shape (n, 2m, 2)
+    plane = mode_plane(modes)  # shape (n, 2m, 2)
     plane_t = plane.transpose(0, 2, 1)  # G^T
     r = plane_t @ (v @ plane)
     tr_r = r[:, 0, 0] + r[:, 1, 1]
@@ -349,15 +349,17 @@ def passive_separability_witness(
     """Whether a photon op in mode ``g`` keeps a pure state passively separable.
 
     True iff the (g, Jg) plane is an invariant subspace of ``V``, i.e.
-    ``||(1 - P) V P|| < tol``: the initial Wigner function then factorises
-    along that plane, and so does the photon-added/subtracted one.  For pure
-    states, False means the induced entanglement survives every passive
-    transformation.  Mixed states are rejected: their classification needs
-    convex decompositions beyond this criterion.
+    ``||(1 - P) V P||_F < tol``, computed as ``||V G - G (G^T V G)||_F`` with
+    ``G = [g, Jg]`` (orthonormal columns, ``P = G G^T``): the initial Wigner
+    function then factorises along that plane, and so does the
+    photon-added/subtracted one.  For pure states, False means the induced
+    entanglement survives every passive transformation.  Mixed states are
+    rejected: their classification needs convex decompositions beyond this
+    criterion.
     """
     v = _check_symmetric(v)
     if not is_pure(v):
         raise CovarianceError("passive separability witness supports pure states only")
-    p = mode_projector(g)
-    resid = (np.eye(v.shape[0]) - p) @ v @ p
-    return float(np.linalg.norm(resid)) < tol
+    plane = mode_plane(as_mode(g))
+    vg = v @ plane
+    return float(np.linalg.norm(vg - plane @ (plane.T @ vg))) < tol

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CovarianceError, DimensionError, SymplecticError
-from .phase_space import apply_j, as_mode, symplectic_form
+from .phase_space import apply_j, as_mode, mode_plane, symplectic_form
 
 #: Symplectic eigenvalues may undershoot 1 by this much before a state is
 #: declared unphysical (numerical slack on the shot-noise bound).
@@ -135,18 +135,13 @@ def gaussian_purity(v: np.ndarray) -> float:
 
 
 def reduce_to_mode(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Covariance of one mode: the 2x2 block of ``V`` in the (g, Jg) plane."""
+    """Covariance of one mode: the 2x2 block ``G^T V G``, ``G = [g, Jg]``."""
     v = _check_symmetric(v)
     g = as_mode(g)
     if g.size != v.shape[0]:
         raise DimensionError("mode vector and covariance dimensions differ")
-    jg = apply_j(g)
-    return np.array(
-        [
-            [g @ v @ g, g @ v @ jg],
-            [jg @ v @ g, jg @ v @ jg],
-        ]
-    )
+    plane = mode_plane(g)
+    return plane.T @ (v @ plane)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ Conventions fixed here and used everywhere else in the package:
 
 A single optical mode is a normalised vector ``g`` together with its
 symplectic partner ``J g``; the two span a phase plane.  Every quantity in
-this package depends only on that plane (through the rank-two projector
-``P = g g^T + (Jg)(Jg)^T``), never on the sign or phase of ``g`` itself, so
-the sign convention of ``J`` is unobservable downstream.
+this package depends only on that plane (through the plane matrix
+``G = [g, Jg]``, whose columns are orthonormal, or the rank-two projector
+``P = G G^T``), never on the sign or phase of ``g`` itself, so the sign
+convention of ``J`` is unobservable downstream.
 """
 
 from __future__ import annotations
@@ -85,16 +86,24 @@ def as_mode(f: np.ndarray) -> np.ndarray:
     return f
 
 
+def mode_plane(g: np.ndarray) -> np.ndarray:
+    """Plane matrix ``G = [g, Jg]`` of mode ``g``, shape ``(2m, 2)``; a stack
+    ``(n, 2m)`` of modes gives ``(n, 2m, 2)``.  ``g`` is used as given (see
+    :func:`as_mode`); when normalised, ``G^T G = 1`` and ``G G^T`` is
+    :func:`mode_projector`."""
+    g = np.asarray(g, dtype=float)
+    return np.stack([g, apply_j(g)], axis=-1)
+
+
 def mode_projector(g: np.ndarray) -> np.ndarray:
     """Projector onto the phase plane of mode ``g``.
 
-    Returns ``g g^T + (Jg)(Jg)^T``: symmetric, idempotent, trace 2, and
-    identical for every mode spanning the same plane (``g``, ``Jg``, or any
-    rotation of the pair).
+    Returns ``G G^T = g g^T + (Jg)(Jg)^T``: symmetric, idempotent, trace 2,
+    and identical for every mode spanning the same plane (``g``, ``Jg``, or
+    any rotation of the pair).
     """
-    g = as_mode(g)
-    jg = apply_j(g)
-    return np.outer(g, g) + np.outer(jg, jg)
+    plane = mode_plane(as_mode(g))
+    return plane @ plane.T
 
 
 def random_mode(m: int, seed) -> np.ndarray:

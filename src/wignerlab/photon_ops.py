@@ -1,21 +1,26 @@
 """Single-photon addition and subtraction on multimode Gaussian states.
 
 Adding or subtracting one photon in mode ``g`` of a zero-mean Gaussian state
-with covariance ``V`` changes the symmetrised two-point correlations by a
+with covariance ``V`` acts only through the plane matrix ``G = [g, Jg]``
+(:func:`mode_plane`), and this module works on ``G`` throughout: no 2m x 2m
+projector is formed.  The symmetrised two-point correlations change by a
 rank-two positive matrix,
 
-    A = 2 (V + s) P (V + s) / tr((V + s) P),     s = +1 add, -1 subtract,
+    A = 2 X X^T / tr(G^T X),   X = (V + s) G,   s = +1 add, -1 subtract,
 
-where ``P`` projects onto the plane of ``g``.  Everything else in this module
-is a closed-form consequence of ``A``:
+and everything else in this module is a closed-form consequence of ``A``:
 
 * truncated correlations (joint cumulants) of every even order,
 * the characteristic function,
-* the Wigner function, an explicit quadratic polynomial times the original
-  Gaussian, built by one constructor (:func:`displaced_poly_wigner`, of
-  which :func:`nongaussian_wigner` is the undisplaced case),
+* the Wigner function, the original Gaussian times one squared-norm bracket;
+  for the state displaced by ``xi`` before the operation it reads
+
+      W(b) = W_0(b - xi) [|K b - e|^2 - c0] / (tr(G^T V G) + |G^T xi|^2 + 2s),
+      K = G^T (1 + s V^-1),   e = s G^T V^-1 xi,   c0 = tr(G^T V^-1 G) + 2s,
+
 * a convex decomposition of mixed-state results into displaced pure-state
-  Wigner functions with classical Gaussian weights.
+  Wigner functions with classical Gaussian weights, whose Monte-Carlo
+  estimator evaluates that bracket for all sampled displacements at once.
 
 Characteristic function, derivation of the closed form
 ------------------------------------------------------
@@ -59,7 +64,7 @@ from .gaussian import (
     validate_covariance,
     williamson,
 )
-from .phase_space import apply_j, as_mode, mode_projector
+from .phase_space import apply_j, as_mode, mode_plane
 
 #: Largest even correlation order enumerated exactly; 12 slots already mean
 #: 10395 pair partitions and the count grows as (2k-1)!!.
@@ -67,6 +72,10 @@ MAX_CORRELATION_ORDER = 12
 
 #: Mean photon number below which subtraction is treated as undefined.
 SUBTRACTION_TOL = 1e-12
+
+#: Noise eigenvalues at most this fraction of ``max(largest, 1)`` span null
+#: directions, along which displacements are deterministic (fixes the draws).
+_NOISE_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,8 @@ def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
     """The additive second-moment correction of the photon operation.
 
     Returns the symmetric positive-semidefinite rank-<=2 matrix
-    ``2 (V + s) P (V + s) / tr((V + s) P)`` with ``s = op.sign``.
+    ``2 X X^T / tr(G^T X)`` with ``X = (V + s) G``, ``G = [g, Jg]`` and
+    ``s = op.sign``.
 
     Raises:
         SubtractionUndefinedError: subtracting from a mode with zero mean
@@ -127,13 +137,11 @@ def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
     v = _check_symmetric(v)
     if op.mode.size != v.shape[0]:
         raise DimensionError("operation mode and covariance dimensions differ")
-    jg = apply_j(op.mode)
-    den = float(op.mode @ v @ op.mode + jg @ v @ jg + 2.0 * op.sign)
+    plane = mode_plane(op.mode)
+    x = v @ plane + op.sign * plane
+    den = float(np.trace(plane.T @ x))
     require_photons(op.kind, den / 4.0)
-    vp = v + op.sign * np.eye(v.shape[0])
-    num = 2.0 * vp @ mode_projector(op.mode) @ vp
-    a = num / den
-    return 0.5 * (a + a.T)
+    return 2.0 * (x @ x.T) / den
 
 
 def output_covariance(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
@@ -344,6 +352,22 @@ def decompose_pure_noise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (v_pure + v_pure.T), 0.5 * (v_noise + v_noise.T)
 
 
+def _plane_bracket(v: np.ndarray, plane: np.ndarray, s: float):
+    """Factors of the bracket ``|K b - e|^2 - c0`` of an op of sign ``s`` on
+    the plane ``G``: ``K = G^T (1 + s V^-1)``, ``c0 = tr(G^T V^-1 G) + 2s`` and
+    the map ``E = s V^-1 G`` giving ``e = xi @ E`` for one ``xi`` or a batch."""
+    v_inv_g = np.linalg.solve(v, plane)
+    k = plane.T + s * v_inv_g.T
+    return k, float(np.trace(plane.T @ v_inv_g)) + 2.0 * s, s * v_inv_g
+
+
+def _noise_spectrum(v_noise: np.ndarray):
+    """Eigenpairs ``(w, u)`` of ``V_noise`` and the mask of its range, the
+    eigenvalues above ``_NOISE_RANK_TOL`` times ``max(w_max, 1)``."""
+    w, u = np.linalg.eigh(v_noise)
+    return w, u, w > max(w[-1], 1.0) * _NOISE_RANK_TOL
+
+
 def displaced_poly_wigner(
     v_base: np.ndarray,
     xi: np.ndarray,
@@ -353,17 +377,18 @@ def displaced_poly_wigner(
     """Wigner function of a photon op on a displaced Gaussian state.
 
     The state is displaced by ``xi`` before the photon is added to or
-    subtracted from mode ``g``; the result is exactly
+    subtracted from mode ``g``; with ``G = [g, Jg]`` the result is exactly
+    the base Gaussian times one squared norm on the plane,
 
-        W(b) = W_base(b - xi) / tr((V + xi xi^T + s) P) *
-               [ |P (1 + s V^-1)(b - xi)|^2
-                 + 2 (xi, P (1 + s V^-1)(b - xi))
-                 + (xi, P xi) - tr(P V^-1) - 2 s ]
+        W(b) = W_base(b - xi) [ |K b - e|^2 - c0 ]
+               / (tr(G^T V G) + |G^T xi|^2 + 2s),
+        K = G^T (1 + s V^-1),  e = s G^T V^-1 xi,  c0 = tr(G^T V^-1 G) + 2s,
 
-    which reduces to :func:`nongaussian_wigner` at ``xi = 0``.  The base
-    covariance must be pure unless ``allow_mixed_base`` is set; the formula
-    itself is valid for any covariance, but only the pure case carries the
-    convex-decomposition semantics used elsewhere in the package.
+    expanded as ``quad = K^T K / d``, ``lin = -2 K^T e / d``, ``const =
+    (|e|^2 - c0) / d``; :func:`nongaussian_wigner` is the case ``xi = 0``.
+    The base covariance must be pure unless ``allow_mixed_base`` is set; the
+    formula itself is valid for any covariance, but only the pure case
+    carries the convex-decomposition semantics used elsewhere in the package.
 
     Raises:
         SubtractionUndefinedError: if the normalisation trace vanishes
@@ -379,25 +404,16 @@ def displaced_poly_wigner(
     if xi.shape != (dim,):
         raise DimensionError("displacement dimension does not match the state")
     s = float(op.sign)
-    p = mode_projector(op.mode)
-    v_inv = np.linalg.inv(v)
-    tr_pv = float(np.trace(p @ v))
-    tr_pvinv = float(np.trace(p @ v_inv))
-    xi_p_xi = float(xi @ p @ xi)
-
-    den = tr_pv + xi_p_xi + 2.0 * s
+    plane = mode_plane(op.mode)
+    xi_g = xi @ plane
+    den = float(np.trace(plane.T @ v @ plane) + xi_g @ xi_g) + 2.0 * s
     require_photons(op.kind, den / 4.0)
 
-    grad = p @ (np.eye(dim) + s * v_inv)
-    gtg = grad.T @ grad
-    quad = gtg / den
-    lin = (2.0 * grad.T @ xi - 2.0 * gtg @ xi) / den
-    const = (
-        float(xi @ gtg @ xi) - 2.0 * float(xi @ grad @ xi)
-        + xi_p_xi - tr_pvinv - 2.0 * s
-    ) / den
+    k, c0, e_map = _plane_bracket(v, plane, s)
+    e = xi @ e_map
     return PolyGaussianWigner(
-        quad=0.5 * (quad + quad.T), lin=lin, const=const, cov=v, mean=np.array(xi)
+        quad=k.T @ k / den, lin=-2.0 * (e @ k) / den,
+        const=(float(e @ e) - c0) / den, cov=v, mean=np.array(xi),
     )
 
 
@@ -421,27 +437,26 @@ def displacement_density(
     For ``V = V_pure + V_noise`` the photon-added/subtracted state is the
     mixture over ``xi`` of the displaced pure results, weighted by
 
-        p(xi) = tr((V_pure + xi xi^T + s) P) N(xi; 0, V_noise)
-                / tr((V + s) P),
+        p(xi) = (tr(G^T V_pure G) + |G^T xi|^2 + 2s) N(xi; 0, V_noise)
+                / (tr(G^T V G) + 2s),
 
-    which is nonnegative and integrates to one.  ``xi`` may be batched on
-    leading axes.
+    with ``G = [g, Jg]``, which is nonnegative and integrates to one.  ``xi``
+    may be batched on leading axes.
 
     ``V_noise`` must be positive definite; with ``restrict_to_range`` the
     density is taken on the range of ``V_noise`` instead (null directions are
-    deterministic, and any ``xi`` leaving the range has density zero).
+    deterministic, and any ``xi`` leaving the range has density zero).  The
+    range is the one :func:`mixture_reconstruction` samples.
     """
     v_pure = _check_symmetric(v_pure)
     v_noise = _check_symmetric(v_noise)
-    dim = v_pure.shape[0]
     s = float(op.sign)
-    p = mode_projector(op.mode)
+    plane = mode_plane(op.mode)
     xi = np.asarray(xi, dtype=float)
     squeeze = xi.ndim == 1
     xi2 = np.atleast_2d(xi)
 
-    w, u = np.linalg.eigh(v_noise)
-    pos = w > max(w[-1], 1.0) * 1e-12
+    w, u, pos = _noise_spectrum(v_noise)
     if not pos.all() and not restrict_to_range:
         raise CovarianceError(
             "noise covariance is singular; pass restrict_to_range=True to "
@@ -449,19 +464,16 @@ def displacement_density(
         )
     rank = int(pos.sum())
     coords = xi2 @ u  # components along the eigenbasis
-    if rank < dim:
-        off = np.max(np.abs(coords[:, ~pos]), axis=1, initial=0.0)
-        in_range = off <= 1e-9
-    else:
-        in_range = np.ones(len(xi2), dtype=bool)
+    in_range = np.max(np.abs(coords[:, ~pos]), axis=1, initial=0.0) <= 1e-9
 
     quad = np.einsum("ni,i->n", coords[:, pos] ** 2, 1.0 / w[pos])
     log_norm = 0.5 * (rank * np.log(2.0 * np.pi) + np.log(w[pos]).sum())
     gauss = np.exp(-0.5 * quad - log_norm)
 
-    tr_ps = float(np.trace(p @ v_pure)) + 2.0 * s
-    num = (tr_ps + np.einsum("ni,ij,nj->n", xi2, p, xi2)) * gauss
-    den = float(np.trace(p @ (v_pure + v_noise))) + 2.0 * s
+    xi_g = xi2 @ plane
+    tr_ps = float(np.trace(plane.T @ v_pure @ plane)) + 2.0 * s
+    num = (tr_ps + (xi_g * xi_g).sum(axis=1)) * gauss
+    den = float(np.trace(plane.T @ (v_pure + v_noise) @ plane)) + 2.0 * s
     require_photons(op.kind, den / 4.0)
     out = np.where(in_range, num / den, 0.0)
     return float(out[0]) if squeeze else out
@@ -487,12 +499,13 @@ def mixture_reconstruction(
     :func:`displacement_density` against the sampling Gaussian, which cancels
     the per-sample normalisation trace, so each sample contributes
 
-        W_base(b - xi) [t1 + t2 + t3] / tr((V + s) P)
+        W_pure(b - xi) [ |K b - e_xi|^2 - c0 ] / (tr(G^T V G) + 2s)
 
-    with the bracket of :func:`displaced_poly_wigner`.  Deterministic per
-    seed; ``beta`` may be a single point or a batch.  For a pure input the
-    mixture is a single point and the exact value is returned with zero
-    standard error.
+    with the bracket factors ``K``, ``e_xi`` and ``c0`` of
+    :func:`displaced_poly_wigner` on ``V_pure``, evaluated for all sampled
+    ``xi`` at once.  Deterministic per seed; ``beta`` may be a single point
+    or a batch.  For a pure input the mixture is a single point and the exact
+    value is returned with zero standard error.
     """
     v = _check_symmetric(v)
     dim = v.shape[0]
@@ -503,51 +516,26 @@ def mixture_reconstruction(
         raise DimensionError("point dimension does not match the state")
 
     v_pure, v_noise = decompose_pure_noise(v)
-    w, u = np.linalg.eigh(v_noise)
-    pos = w > max(w[-1], 1.0) * 1e-9
+    w, u, pos = _noise_spectrum(v_noise)
     if not pos.any():
-        vals = displaced_wigner(v_pure, np.zeros(dim), op, pts)
-        est = MixtureEstimate(
-            values=np.atleast_1d(vals), std_errors=np.zeros(len(pts)),
-            n_samples=n_samples,
-        )
-        return _squeeze_estimate(est, squeeze)
-
-    s = float(op.sign)
-    p = mode_projector(op.mode)
-    den = float(np.trace(p @ v)) + 2.0 * s
-    require_photons(op.kind, den / 4.0)
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, int(pos.sum())))
-    xis = (z * np.sqrt(w[pos])) @ u[:, pos].T
-
-    v_inv = np.linalg.inv(v_pure)
-    grad = p @ (np.eye(dim) + s * v_inv)
-    tr_pvinv = float(np.trace(p @ v_inv))
-    t3 = np.einsum("ni,ij,nj->n", xis, p, xis) - tr_pvinv - 2.0 * s
-
-    values = np.empty(len(pts))
-    errors = np.empty(len(pts))
-    for i, pt in enumerate(pts):
-        delta = pt - xis
-        y = delta @ grad.T
-        bracket = np.einsum("ni,ni->n", y, y) + 2.0 * np.einsum(
-            "ni,ni->n", xis, y
-        ) + t3
-        gauss = gaussian_wigner(v_pure, delta)
-        samples = gauss * bracket / den
-        values[i] = samples.mean()
-        errors[i] = samples.std(ddof=1) / np.sqrt(n_samples)
-    est = MixtureEstimate(values=values, std_errors=errors, n_samples=n_samples)
-    return _squeeze_estimate(est, squeeze)
-
-
-def _squeeze_estimate(est: MixtureEstimate, squeeze: bool) -> MixtureEstimate:
-    if not squeeze:
-        return est
-    return MixtureEstimate(
-        values=float(est.values[0]),
-        std_errors=float(est.std_errors[0]),
-        n_samples=est.n_samples,
-    )
+        values = displaced_wigner(v_pure, np.zeros(dim), op, pts)
+        errors = np.zeros(len(pts))
+    else:
+        s = float(op.sign)
+        plane = mode_plane(op.mode)
+        den = float(np.trace(plane.T @ v @ plane)) + 2.0 * s
+        require_photons(op.kind, den / 4.0)
+        z = np.random.default_rng(seed).standard_normal((n_samples, int(pos.sum())))
+        xis = (z * np.sqrt(w[pos])) @ u[:, pos].T
+        k, c0, e_map = _plane_bracket(v_pure, plane, s)
+        e = xis @ e_map
+        values, errors = np.empty(len(pts)), np.empty(len(pts))
+        for i, (pt, kb) in enumerate(zip(pts, pts @ k.T)):
+            r = kb - e
+            bracket = (r * r).sum(axis=1) - c0
+            samples = gaussian_wigner(v_pure, pt - xis) * bracket / den
+            values[i] = samples.mean()
+            errors[i] = samples.std(ddof=1) / np.sqrt(n_samples)
+    if squeeze:
+        return MixtureEstimate(float(values[0]), float(errors[0]), n_samples)
+    return MixtureEstimate(values=values, std_errors=errors, n_samples=n_samples)

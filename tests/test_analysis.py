@@ -35,6 +35,7 @@ from wignerlab.phase_space import (
     apply_j,
     basis_change_matrix,
     complete_symplectic_basis,
+    mode_projector,
     random_mode,
 )
 from wignerlab.photon_ops import (
@@ -353,3 +354,15 @@ class TestPassiveSeparability:
             rep = reduced_purities(v, subtract(g))
             hits += rep.mu < rep.mu0
         assert hits == 20
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tol_bounds_projector_residual(self, seed):
+        # the plane form computes ||(1 - P) V P||_F, so tol keeps its meaning
+        rng = np.random.default_rng(4100 + seed)
+        m = int(rng.integers(2, 5))
+        v = random_pure_squeezed_cov(m, rng.uniform(-6, 6, size=m), rng)
+        g = random_mode(m, rng)
+        p = mode_projector(g)
+        resid = float(np.linalg.norm((np.eye(2 * m) - p) @ v @ p))
+        assert passive_separability_witness(v, g, tol=resid * (1.0 + 1e-9))
+        assert not passive_separability_witness(v, g, tol=resid * (1.0 - 1e-9))

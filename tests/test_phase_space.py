@@ -11,6 +11,7 @@ from wignerlab.phase_space import (
     as_mode,
     basis_change_matrix,
     complete_symplectic_basis,
+    mode_plane,
     mode_projector,
     random_mode,
     symplectic_form,
@@ -107,6 +108,24 @@ class TestModeProjector:
         p = mode_projector(g)
         j = symplectic_form(3)
         assert np.max(np.abs(j @ p - p @ j)) < 1e-13
+
+
+class TestModePlane:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columns_orthonormal(self, seed):
+        g = random_mode(1 + seed, seed)
+        plane = mode_plane(g)
+        assert plane.shape == (g.size, 2)
+        assert np.array_equal(plane[:, 0], g)
+        assert np.array_equal(plane[:, 1], apply_j(g))
+        assert np.max(np.abs(plane.T @ plane - np.eye(2))) < 1e-15
+
+    def test_stack_matches_single(self):
+        modes = np.array([random_mode(3, seed) for seed in range(5)])
+        planes = mode_plane(modes)
+        assert planes.shape == (5, 6, 2)
+        for g, plane in zip(modes, planes):
+            assert mode_plane(g).tobytes() == plane.tobytes()
 
 
 class TestRandomMode:

@@ -1,11 +1,13 @@
 """Closed forms of the photon-added/subtracted state against independent routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import grid2d, integrate2d, random_case
+from conftest import grid2d, integrate2d, plane_points, random_case
 from wignerlab.errors import (
     CapacityError,
     CovarianceError,
@@ -15,10 +17,11 @@ from wignerlab.gaussian import (
     gaussian_purity,
     gaussian_wigner,
     random_mixed_cov,
+    random_orthogonal_symplectic,
     random_pure_squeezed_cov,
     validate_covariance,
 )
-from wignerlab.phase_space import apply_j, random_mode
+from wignerlab.phase_space import apply_j, mode_projector, random_mode
 from wignerlab.photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
@@ -397,3 +400,118 @@ class TestMixtureReconstruction:
         se_small = mixture_reconstruction(mixed_cov_1m, op, beta, 20_000, 5).std_errors
         se_big = mixture_reconstruction(mixed_cov_1m, op, beta, 80_000, 5).std_errors
         assert se_small / se_big == pytest.approx(2.0, rel=0.15)
+
+
+def projector_form(v, xi, op):
+    """Reference: the displaced bracket expanded with the 2m x 2m projector.
+
+    ``grad = P (1 + s V^-1)`` and ``W = W_base(b - xi) [|grad (b - xi)|^2
+    + 2 (xi, grad (b - xi)) + (xi, P xi) - tr(P V^-1) - 2s] / tr((V + xi
+    xi^T + s) P)``, returned as ``(quad, lin, const)`` in ``b``.
+    """
+    s = float(op.sign)
+    p = mode_projector(op.mode)
+    v_inv = np.linalg.inv(v)
+    xi_p_xi = float(xi @ p @ xi)
+    den = float(np.trace(p @ v)) + xi_p_xi + 2.0 * s
+    grad = p @ (np.eye(v.shape[0]) + s * v_inv)
+    gtg = grad.T @ grad
+    lin = (2.0 * grad.T @ xi - 2.0 * gtg @ xi) / den
+    const = (
+        float(xi @ gtg @ xi) - 2.0 * float(xi @ grad @ xi)
+        + xi_p_xi - float(np.trace(p @ v_inv)) - 2.0 * s
+    ) / den
+    return 0.5 * (gtg + gtg.T) / den, lin, const
+
+
+def mixture_from_constructor(v, op, pts, n_samples, seed, rank):
+    """Reference: the mixture estimate averaged over displaced constructors.
+
+    Redraws the displacements from ``default_rng(seed)`` along the ``rank``
+    largest noise eigenpairs and weights each displaced pure Wigner function
+    by ``den_xi / den`` (the density's trace ratio against the sampling
+    Gaussian).
+    """
+    v_pure, v_noise = decompose_pure_noise(v)
+    w, u = np.linalg.eigh(v_noise)
+    z = np.random.default_rng(seed).standard_normal((n_samples, rank))
+    xis = (z * np.sqrt(w[-rank:])) @ u[:, -rank:].T
+    p = mode_projector(op.mode)
+    den = np.trace(p @ v) + 2.0 * op.sign
+    total = np.zeros(len(pts))
+    for xi in xis:
+        den_xi = np.trace(p @ v_pure) + xi @ p @ xi + 2.0 * op.sign
+        total += den_xi / den * displaced_wigner(v_pure, xi, op, pts)
+    return total / n_samples
+
+
+class TestPlaneForm:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        kind=st.sampled_from(["add", "subtract"]),
+        displaced=st.booleans(),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constructor_matches_projector_form(self, m, kind, displaced, mixed, seed):
+        rng = np.random.default_rng(seed)
+        v = random_mixed_cov(m, rng, max_squeezing_db=7.0,
+                             max_thermal=2.2 if mixed else 1.0)
+        op = PhotonOpSpec(kind, random_mode(m, rng))
+        xi = rng.normal(size=2 * m) if displaced else np.zeros(2 * m)
+        p = mode_projector(op.mode)
+        # near vacuum both forms lose digits roughly as 1 / n
+        assume(kind == "add" or np.trace(p @ v) + xi @ p @ xi - 2.0 >= 4e-3)
+        quad, lin, const = projector_form(v, xi, op)
+        w = displaced_poly_wigner(v, xi, op, allow_mixed_base=True)
+        assert np.max(np.abs(w.quad - quad)) <= 1e-12 * np.max(np.abs(quad))
+        assert np.max(np.abs(w.lin - lin)) <= 1e-12 * np.max(np.abs(lin))
+        assert abs(w.const - const) <= 1e-12 * abs(const)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixture_matches_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 3
+        v = random_mixed_cov(m, rng, max_thermal=2.0)
+        op = PhotonOpSpec("add" if seed % 2 else "subtract", random_mode(m, rng))
+        pts = rng.normal(size=(5, 2 * m))
+        est = mixture_reconstruction(v, op, pts, 300, seed)
+        ref = mixture_from_constructor(v, op, pts, 300, seed, rank=2 * m)
+        assert np.max(np.abs(est.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_noise_rank_shared(self):
+        # two noise eigenvalues at 1e-10 of the largest, between the 1e-12 and
+        # 1e-9 cut-offs the density and the mixture used to apply separately:
+        # both now take those directions as null
+        o = random_orthogonal_symplectic(2, 3)
+        v = o @ np.diag([2.0, 1.0 + 1e-10, 2.0, 1.0 + 1e-10]) @ o.T
+        v_pure, v_noise = decompose_pure_noise(v)
+        w, u = np.linalg.eigh(v_noise)
+        assert 1e-12 < w[0] / w[-1] < 1e-9 and 1e-12 < w[1] / w[-1] < 1e-9
+        op = add(random_mode(2, 4))
+        with pytest.raises(CovarianceError, match="singular"):
+            displacement_density(v_pure, v_noise, np.zeros(4), op)
+        # one standard deviation along a null direction leaves the range
+        off = np.sqrt(w[0]) * u[:, 0]
+        assert displacement_density(v_pure, v_noise, off, op, restrict_to_range=True) == 0.0
+        pts = np.random.default_rng(5).normal(size=(4, 4))
+        est = mixture_reconstruction(v, op, pts, 300, 7)
+        ref = mixture_from_constructor(v, op, pts, 300, 7, rank=2)
+        assert np.max(np.abs(est.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_grid_evaluation_memory(self):
+        # a 201 x 201 plane grid on 16 modes: 40 401 x 32 points, 9.9 MiB;
+        # evaluation may copy the points once (the centring in
+        # gaussian_wigner) but not twice
+        v = random_pure_squeezed_cov(16, np.linspace(1, 8, 16), 5)
+        g = random_mode(16, 6)
+        pts = plane_points(grid2d(4.0, 201)[1], g)
+        w = nongaussian_wigner(v, add(g))
+        tracemalloc.start()
+        try:
+            w(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pts.nbytes
