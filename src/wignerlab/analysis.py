@@ -45,6 +45,9 @@ from .photon_ops import (
 #: Subtraction draws below this mean photon number are resampled in scans.
 SCAN_PHOTON_TOL = 1e-10
 
+#: Rejected subtraction draws of one scan sample before the scan gives up.
+SCAN_MAX_RESAMPLES = 1000
+
 #: Purities closer than this count as equal when deciding whether a photon
 #: operation lowered the purity; supermodes give ``mu = mu0`` up to rounding.
 PURITY_TIE_TOL = 1e-12
@@ -292,7 +295,7 @@ def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
 
 
 def sample_scan_mode(
-    v: np.ndarray, kind: str, master_seed, index: int, max_resamples: int = 1000
+    v: np.ndarray, kind: str, master_seed, index: int
 ) -> tuple[np.ndarray, int]:
     """Mode for scan sample ``index``: deterministic counter substream.
 
@@ -300,7 +303,7 @@ def sample_scan_mode(
     substream; returns the mode and the number of resamples.
 
     Raises:
-        SubtractionUndefinedError: after ``max_resamples`` rejected draws
+        SubtractionUndefinedError: after ``SCAN_MAX_RESAMPLES`` rejected draws
             (the state has essentially no photons in any mode).
     """
     m = v.shape[0] // 2
@@ -311,7 +314,7 @@ def sample_scan_mode(
         if kind != "subtract" or mean_photon_number(v, g) >= SCAN_PHOTON_TOL:
             return g, resampled
         resampled += 1
-        if resampled > max_resamples:
+        if resampled > SCAN_MAX_RESAMPLES:
             raise SubtractionUndefinedError(
                 "every sampled mode has zero mean photon number; nothing to subtract"
             )

@@ -100,7 +100,7 @@ def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
     except ValueError as exc:
         raise ParseError(f"cannot parse mode spec {spec!r}: {exc}") from exc
     norm = float(np.linalg.norm(coords))
-    if coords.size != v.shape[0] or norm < 1e-12:
+    if coords.size != v.shape[0] or not 1e-12 <= norm < math.inf:  # NaN too
         raise ParseError(f"mode spec {spec!r} does not name a mode of this state")
     return as_mode(coords / norm)
 

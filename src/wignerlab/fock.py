@@ -63,7 +63,8 @@ from .errors import (
     DimensionError,
     SubtractionUndefinedError,
 )
-from .gaussian import PURE_TOL, bloch_messiah, symplectic_to_unitary, williamson
+from .gaussian import PURE_TOL, SYMPLECTIC_TOL, bloch_messiah, symplectic_to_unitary
+from .gaussian import williamson
 from .phase_space import as_mode, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
 
@@ -290,7 +291,7 @@ def _givens_factors(u: np.ndarray):
     """
     u = np.array(u, dtype=complex)
     n = u.shape[0]
-    if np.max(np.abs(u @ u.conj().T - np.eye(n))) > 1e-9:
+    if np.max(np.abs(u @ u.conj().T - np.eye(n))) > SYMPLECTIC_TOL:
         raise ValueError("interferometer matrix is not unitary")
     factors = []
     for col in range(n):

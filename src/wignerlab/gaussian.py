@@ -36,6 +36,12 @@ SYMMETRY_TOL = 1e-10
 #: A state is pure when every symplectic eigenvalue lies this close to one.
 PURE_TOL = 1e-6
 
+#: Largest structure defect of a matrix accepted as (orthogonal) symplectic or unitary.
+SYMPLECTIC_TOL = 1e-9
+
+#: Singular values of a symplectic matrix this close to one are unsqueezed.
+UNIT_SINGULAR_TOL = 1e-8
+
 
 def _as_even_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
@@ -115,7 +121,7 @@ def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:
         raise DimensionError(
             f"point dimension {beta.shape[-1]} does not match 2m = {2 * m}"
         )
-    if mean is not None:
+    if mean is not None and np.any(mean):  # a zero mean would copy the points
         beta = beta - np.asarray(mean, dtype=float)
     sign, logdet = np.linalg.slogdet(v)
     if sign <= 0:
@@ -203,57 +209,33 @@ class BlochMessiah:
         return self.passive_out @ self.squeezer @ self.passive_in
 
 
-def _j_paired_columns(cols: np.ndarray) -> list[np.ndarray]:
-    """Pick vectors v1..vd from a J-invariant subspace so that
-    (v_i, v_j) = delta_ij and (v_i, J v_j) = 0; the subspace is then spanned
-    by the pairs (v_i, J v_i)."""
-    picked: list[np.ndarray] = []
-    span: list[np.ndarray] = []
-    for i in range(cols.shape[1]):
-        if 2 * len(picked) == cols.shape[1]:
-            break
-        cand = cols[:, i]
-        for b in span:
-            cand = cand - (b @ cand) * b
-        norm = np.linalg.norm(cand)
-        if norm < 1e-7:
-            continue
-        cand = cand / norm
-        picked.append(cand)
-        span.append(cand)
-        jc = apply_j(cand)
-        for b in span[:-1]:
-            jc = jc - (b @ jc) * b
-        span.append(jc / np.linalg.norm(jc))
-    return picked
-
-
-def bloch_messiah(s: np.ndarray, tol: float = 1e-9) -> BlochMessiah:
+def bloch_messiah(s: np.ndarray) -> BlochMessiah:
     """Bloch-Messiah decomposition of a symplectic matrix.
 
     One SVD ``S = L diag(w) U^T`` gives the polar factor ``O = L U^T`` and
     the eigenpairs ``(w, U)`` of the positive symplectic factor
     ``P = U diag(w) U^T``.  Eigenvalues come in ``(k, 1/k)`` pairs with ``J``
     mapping one eigenspace onto the other, so the orthogonal diagonaliser of
-    ``P`` can always be chosen symplectic.  Each supermode is signed so that
-    its largest-magnitude component is positive.
+    ``P`` can always be chosen symplectic; inside the J-invariant ``k = 1``
+    subspace that takes the leading right singular vectors of its basis read
+    as ``x + ip`` (module :mod:`.phase_space`).  Each supermode is signed so
+    that its largest-magnitude component is positive.
     """
     s = _as_even_square(s, "symplectic matrix")
     m = s.shape[0] // 2
     j = symplectic_form(m)
     defect = float(np.max(np.abs(s.T @ j @ s - j)))
-    if defect > tol:
+    if defect > SYMPLECTIC_TOL:
         raise SymplecticError(f"matrix violates the symplectic form by {defect:.3e}")
 
     left, w, ut = np.linalg.svd(s)  # w descends
-    unit = np.abs(w - 1.0) <= 1e-8
-    vs = list(ut[(w > 1.0) & ~unit])
-    if np.any(unit):
-        vs.extend(_j_paired_columns(ut[unit].T))
+    unit = np.abs(w - 1.0) <= UNIT_SINGULAR_TOL
+    u = np.linalg.svd(ut[unit, :m] + 1j * ut[unit, m:])[2][: unit.sum() // 2]
+    vs = np.vstack([ut[(w > 1.0) & ~unit], np.hstack([u.real, u.imag])])
     if len(vs) != m:
         raise SymplecticError("eigenvalue pairing failed; matrix too ill-conditioned")
 
-    q = np.column_stack(vs + [apply_j(v) for v in vs])
+    q = np.column_stack([*vs, *apply_j(vs)])
     out = left @ ut @ q
     top = out[np.argmax(np.abs(out[:, :m]), axis=0), np.arange(m)]
     flip = np.tile(np.sign(top), 2)
@@ -267,7 +249,7 @@ def unitary_to_symplectic(u: np.ndarray) -> np.ndarray:
     return np.block([[x, -y], [y, x]])
 
 
-def symplectic_to_unitary(o: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def symplectic_to_unitary(o: np.ndarray) -> np.ndarray:
     """Inverse of :func:`unitary_to_symplectic`, with structure validation."""
     o = _as_even_square(o, "orthogonal symplectic matrix")
     m = o.shape[0] // 2
@@ -275,7 +257,7 @@ def symplectic_to_unitary(o: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     gap = max(
         float(np.max(np.abs(o[:m, m:] + y))), float(np.max(np.abs(o[m:, m:] - x)))
     )
-    if gap > tol:
+    if gap > SYMPLECTIC_TOL:
         raise SymplecticError(f"matrix is not orthogonal symplectic (gap {gap:.3e})")
     return x + 1j * y
 

@@ -6,6 +6,10 @@ Conventions fixed here and used everywhere else in the package:
 * Shot noise is one: the vacuum covariance matrix is the identity.
 * The symplectic form acts as ``J (x, p) = (-p, x)``, so ``J @ J = -1`` and
   ``(J f1, J f2) = (f1, f2)`` for all vectors.
+* As complex vectors ``z = x + ip``, ``J`` is multiplication by ``i`` and
+  ``conj(z1) . z2 = (f1, f2) - i (f1, J f2)``, so an orthonormal complex basis
+  ``u_k`` gives the orthonormal J-paired real basis ``h_k = (Re u_k, Im u_k)``,
+  ``J h_k``; every J-paired basis in the package is built this way.
 
 A single optical mode is a normalised vector ``g`` together with its
 symplectic partner ``J g``; the two span a phase plane.  Every quantity in
@@ -69,14 +73,14 @@ def as_mode(f: np.ndarray) -> np.ndarray:
     Raises:
         DimensionError: for odd or zero length.
         ModeValidationError: if the norm deviates from 1 by more than
-            ``MODE_NORM_TOL``.
+            ``MODE_NORM_TOL`` or is not a number.
     """
     f = np.array(f, dtype=float)
     if f.ndim != 1:
         raise DimensionError("mode vectors are one-dimensional")
     _even_dim(f.size)
     norm = float(np.linalg.norm(f))
-    if abs(norm - 1.0) > MODE_NORM_TOL:
+    if not abs(norm - 1.0) <= MODE_NORM_TOL:  # NaN fails too
         raise ModeValidationError(
             f"mode vector norm {norm!r} deviates from 1 beyond {MODE_NORM_TOL}"
         )
@@ -128,25 +132,15 @@ def complete_symplectic_basis(g: np.ndarray) -> list[np.ndarray]:
 
     Returns ``[g, Jg, h2, Jh2, ..., hm, Jhm]`` where each consecutive pair
     spans a J-invariant plane and the whole set is orthonormal.  Deterministic:
-    the completion is seeded from canonical basis vectors, picking at each step
-    the candidate with the largest residual for numerical head-room.
+    the ``h_k`` are the columns after the first of the unitary QR factor of
+    ``[g_x + i g_p, 1]``, read as real vectors (module conventions).
     """
     g = as_mode(g)
-    dim = g.size
+    m = g.size // 2
+    q = np.linalg.qr(np.column_stack([g[:m] + 1j * g[m:], np.eye(m)]))[0]
     basis = [np.asarray(g), apply_j(g)]
-    while len(basis) < dim:
-        rows = np.array(basis)
-        resid = np.eye(dim) - rows.T @ rows  # residual of each canonical vector
-        norms = np.linalg.norm(resid, axis=0)
-        pick = int(np.argmax(norms))
-        h = resid[:, pick] / norms[pick]
-        # one re-orthogonalisation pass to keep the Gram matrix at 1e-14
-        h = h - rows.T @ (rows @ h)
-        h /= np.linalg.norm(h)
-        jh = apply_j(h)
-        jh = jh - rows.T @ (rows @ jh)
-        jh /= np.linalg.norm(jh)
-        basis.extend([h, jh])
+    for h in np.hstack([q.T.real, q.T.imag])[1:]:
+        basis.extend([h, apply_j(h)])
     return basis
 
 

@@ -10,7 +10,10 @@ rank-two positive matrix,
 
 and everything else in this module is a closed-form consequence of ``A``:
 
-* truncated correlations (joint cumulants) of every even order,
+* truncated correlations (joint cumulants) of every even order ``2k``: as
+  ``A = Y Y^T`` has rank two, ``(f_i, A f_j) = Re(conj(z_i) z_j)`` with
+  ``z_i = (Y^T f_i)_1 + i (Y^T f_i)_2``, and the sum over pair partitions of
+  their products is ``k! [x^k] prod_i (conj(z_i) + z_i x) / 2^k``,
 * the characteristic function,
 * the Wigner function, the original Gaussian times one squared-norm bracket;
   for the state displaced by ``xi`` before the operation it reads
@@ -66,15 +69,16 @@ from .gaussian import (
 )
 from .phase_space import apply_j, as_mode, mode_plane
 
-#: Largest even correlation order enumerated exactly; 12 slots already mean
-#: 10395 pair partitions and the count grows as (2k-1)!!.
+#: Largest correlation order :func:`truncated_correlation` evaluates; higher
+#: orders come from the closed-form characteristic function.
 MAX_CORRELATION_ORDER = 12
 
 #: Mean photon number below which subtraction is treated as undefined.
 SUBTRACTION_TOL = 1e-12
 
-#: Noise eigenvalues at most this fraction of ``max(largest, 1)`` span null
-#: directions, along which displacements are deterministic (fixes the draws).
+#: Eigenvalues at most this fraction of ``max(largest, 1)`` count as zero:
+#: noise eigenvalues then span null directions, along which displacements are
+#: deterministic (fixes the draws), and a correction matrix has rank two.
 _NOISE_RANK_TOL = 1e-9
 
 
@@ -167,28 +171,17 @@ def two_point_correlation(v, op: PhotonOpSpec, f1, f2) -> complex:
     return complex(f1 @ v @ f2 + f1 @ a @ f2) - 1j * float(f1 @ apply_j(f2))
 
 
-def _pair_partition_sum(gram: np.ndarray, items: list[int]) -> float:
-    if not items:
-        return 1.0
-    first = items[0]
-    rest = items[1:]
-    total = 0.0
-    for i, partner in enumerate(rest):
-        total += gram[first, partner] * _pair_partition_sum(
-            gram, rest[:i] + rest[i + 1 :]
-        )
-    return total
-
-
 def truncated_correlation(a: np.ndarray, modes) -> float:
     """Truncated correlation ``<Q(f1) ... Q(fn)>_T`` of order ``n >= 3``.
 
     Odd orders vanish identically; for ``n = 2k`` the value is
-    ``(-1)^(k-1) (k-1)! sum over pair partitions of prod (f_i, A f_j)``,
-    enumerated exactly.  ``a`` is the correction matrix of the operation
-    (see :func:`covariance_correction`).
+    ``(-1)^(k-1) (k-1)! sum over pair partitions of prod (f_i, A f_j)``, in
+    the closed form of the module docstring.  ``a`` is the correction matrix
+    of the operation (see :func:`covariance_correction`).
 
     Raises:
+        ValueError: for ``n < 3``, or when ``a`` has a third (or a negative)
+            eigenvalue beyond ``_NOISE_RANK_TOL`` of ``max(|w|, 1)``.
         CapacityError: for ``n > MAX_CORRELATION_ORDER``; higher orders are
             available through the closed-form characteristic function.
     """
@@ -201,12 +194,19 @@ def truncated_correlation(a: np.ndarray, modes) -> float:
         return 0.0
     if n > MAX_CORRELATION_ORDER:
         raise CapacityError(
-            f"order {n} exceeds the exact enumeration bound {MAX_CORRELATION_ORDER}"
+            f"order {n} exceeds the correlation order bound {MAX_CORRELATION_ORDER}"
         )
+    w, u = np.linalg.eigh(a)
+    tol = _NOISE_RANK_TOL * max(np.max(np.abs(w)), 1.0)
+    if np.any(np.abs(w[:-2]) > tol) or w[-2] < -tol:
+        raise ValueError("correction matrix is not positive semidefinite of rank two")
+    y = np.array(fs) @ (u[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0)))
+    poly = np.ones(1)
+    for z in y[:, 0] + 1j * y[:, 1]:
+        poly = np.convolve(poly, [z.conjugate(), z])
     k = n // 2
-    gram = np.array([[f1 @ a @ f2 for f2 in fs] for f1 in fs])
-    total = _pair_partition_sum(gram, list(range(n)))
-    return float((-1.0) ** (k - 1) * math.factorial(k - 1) * total)
+    haf = math.factorial(k) * poly[k].real / 2.0**k
+    return float((-1.0) ** (k - 1) * math.factorial(k - 1) * haf)
 
 
 def characteristic_function(v, op: PhotonOpSpec, alpha) -> np.ndarray:

@@ -7,8 +7,11 @@ and fail in the suite instead.
 """
 
 import csv
+import hashlib
 import importlib
+import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -19,6 +22,9 @@ from wignerlab.photon_ops import PhotonOpSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
+DIGESTS = os.path.join(ROOT, "tests", "output_digests.json")
+#: Ops, from op 0 of seed 1, whose output parts have committed digests.
+DIGEST_OPS = {"scan": 8, "session": 4, "oracle": 4}
 if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
 
@@ -82,3 +88,46 @@ def test_first_op_bytes_survive_tracing(name, tmp_path):
     parts.append(workload.run(inp).parts)
     assert parts[1] == parts[0]
     assert parts[2] == parts[0]
+
+
+def part_digests(name: str) -> dict[str, str]:
+    """sha256 of every output part of the first ``DIGEST_OPS[name]`` ops of
+    seed 1, keyed ``op:label``.  The workdir ``w`` is relative to the current
+    directory, so that the file names some parts echo do not depend on it."""
+    workload = workloads.WORKLOADS[name](1, "w")
+    inputs = [workload.make_input(i) for i in range(DIGEST_OPS[name])]
+    digests = {}
+    for index, inp in enumerate(inputs):
+        workload.clear_opdir()
+        for label, data in workload.run(inp).parts:
+            digests[f"{index}:{label}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_OPS))
+def test_output_parts_match_committed_digests(name, tmp_path, monkeypatch):
+    # any change to the bytes a workload produces shows here, part by part;
+    # a change that moves bytes on purpose rewrites the file (see below)
+    with open(DIGESTS, encoding="utf-8") as fh:
+        record = json.load(fh)
+    here = (np.__version__, platform.machine())
+    if (record["numpy"], record["machine"]) != here:
+        pytest.skip(f"digests recorded with numpy {record['numpy']} on "
+                    f"{record['machine']}, running numpy {here[0]} on {here[1]}")
+    monkeypatch.chdir(tmp_path)
+    got, expected = part_digests(name), record["parts"][name]
+    moved = sorted(k for k in set(got) | set(expected) if got.get(k) != expected.get(k))
+    assert not moved, f"{name} output parts moved: {', '.join(moved)}"
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_bench_contract.py rewrites the digests
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        parts = {name: part_digests(name) for name in sorted(DIGEST_OPS)}
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump({"seed": 1, "numpy": np.__version__, "machine": platform.machine(),
+                   "parts": parts}, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -213,6 +213,31 @@ class TestFlagRanges:
                    "--grid", "1", "--range", "1e-300")[0] == 0
 
 
+NON_FINITE_MODES = [
+    ("wigner-grid", "--mode", spec) for spec in ("nan,0", "inf,0", "1,nan")
+] + [
+    ("wigner-grid", "--plane", spec) for spec in ("nan,0", "0,inf")
+] + [
+    ("purity-scan", "--mode", spec) for spec in ("nan,0", "inf,0", "1,nan")
+]
+
+
+class TestNonFiniteMode:
+    @pytest.mark.parametrize("command,flag,spec", NON_FINITE_MODES)
+    def test_is_parse_error(self, states, tmp_path, capsys, command, flag, spec):
+        # used to pass validation as a NaN mode and write a NaN grid
+        out_csv = tmp_path / "out.csv"
+        argv = [command, "--state", states["squeezed"], "--op", "add", flag, spec,
+                "--out", out_csv]
+        if flag == "--plane":
+            argv += ["--mode", "1,0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("parse error: mode spec") and "Traceback" not in err
+        assert out == ""
+        assert not out_csv.exists()
+
+
 CLI_COMMANDS = {
     "validate": lambda s, tmp: ["validate", s["pure4"]],
     "wigner-grid": lambda s, tmp: [

@@ -152,6 +152,25 @@ class TestBlochMessiah:
             assert np.max(np.abs(o.T @ o - np.eye(2 * m))) < 1e-9
             assert np.max(np.abs(o.T @ j @ o - j)) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_partly_unsqueezed(self, seed):
+        # some or all singular values exactly one: the unit subspace is paired
+        # as a whole, whatever basis of it the SVD returns
+        rng = np.random.default_rng(2000 + seed)
+        m = int(rng.integers(1, 7))
+        db = rng.uniform(0, 8, size=m)
+        db[rng.permutation(m)[: int(rng.integers(1, m + 1))]] = 0.0
+        k = db_to_scale(db)
+        s = (random_orthogonal_symplectic(m, rng) * np.concatenate([k, 1 / k])) @ \
+            random_orthogonal_symplectic(m, rng)
+        bm = bloch_messiah(s)
+        j = symplectic_form(m)
+        assert np.max(np.abs(bm.reconstruct() - s)) < 1e-12
+        assert bm.squeezing == pytest.approx(np.sort(k)[::-1], abs=1e-12)
+        for o in (bm.passive_out, bm.passive_in):
+            assert np.max(np.abs(o.T @ o - np.eye(2 * m))) < 1e-12
+            assert np.max(np.abs(o.T @ j @ o - j)) < 1e-12
+
     def test_non_symplectic_rejected(self):
         with pytest.raises(SymplecticError):
             bloch_messiah(np.diag([2.0, 2.0]))

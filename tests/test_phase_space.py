@@ -71,6 +71,13 @@ class TestModeValidation:
         with pytest.raises(ValueError):
             g[0] = 2.0
 
+    @pytest.mark.parametrize("f", [[np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan],
+                                   [np.nan, 0.0, 0.0, 0.0]])
+    def test_rejects_non_finite(self, f):
+        # a NaN norm compares False against any bound
+        with pytest.raises(ModeValidationError):
+            as_mode(f)
+
 
 class TestModeProjector:
     def test_single_mode_is_identity(self):
@@ -167,6 +174,16 @@ class TestBasisCompletion:
         assert np.max(np.abs(b @ b.T - np.eye(6))) < 1e-10
         for k in range(0, 6, 2):
             assert np.max(np.abs(apply_j(basis[k]) - basis[k + 1])) < 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keeps_g_and_pairs_every_plane(self, m, seed):
+        g = random_mode(m, 50 + seed)
+        basis = complete_symplectic_basis(g)
+        assert basis[0].tobytes() == g.tobytes()
+        b = np.array(basis)
+        assert np.max(np.abs(b @ b.T - np.eye(2 * m))) < 1e-14
+        assert np.max(np.abs(apply_j(b[0::2]) - b[1::2])) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_change_of_basis_orthogonal_symplectic(self, seed):

@@ -184,6 +184,52 @@ class TestTruncatedCorrelation:
         assert enum == pytest.approx(series, rel=1e-12)
 
 
+def pair_partition_sum(gram: np.ndarray, items: list[int]) -> float:
+    """Reference: sum over pair partitions of ``items`` of the products of
+    their ``gram`` entries, enumerated recursively ((2k-1)!! terms)."""
+    if not items:
+        return 1.0
+    first, rest = items[0], items[1:]
+    return sum(
+        gram[first, partner] * pair_partition_sum(gram, rest[:i] + rest[i + 1:])
+        for i, partner in enumerate(rest)
+    )
+
+
+class TestCorrelationClosedForm:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        kind=st.sampled_from(["add", "subtract"]),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_partition_enumeration(self, m, kind, k, seed):
+        rng = np.random.default_rng(seed)
+        v = random_mixed_cov(m, rng, max_squeezing_db=7.0,
+                             max_thermal=2.2 if rng.integers(2) else 1.0)
+        op = PhotonOpSpec(kind, random_mode(m, rng))
+        assume(kind == "add" or mean_photon_number(v, op.mode) >= 1e-3)
+        a = covariance_correction(v, op)
+        fs = [random_mode(m, rng) for _ in range(2 * k)]
+        gram = np.array([[f1 @ a @ f2 for f2 in fs] for f1 in fs])
+        ref = (-1.0) ** (k - 1) * math.factorial(k - 1) * pair_partition_sum(
+            gram, list(range(2 * k)))
+        # Cauchy-Schwarz bounds every one of the (k-1)! (2k-1)!! products
+        scale = math.factorial(k - 1) * math.prod(range(1, 2 * k, 2)) * math.prod(
+            math.sqrt(f @ a @ f) for f in fs)
+        assert abs(truncated_correlation(a, fs) - ref) <= 1e-12 * scale
+
+    def test_rank_above_two_rejected(self):
+        a = np.diag([2.0, 1.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="rank two"):
+            truncated_correlation(a, [np.array([1.0, 0, 0, 0])] * 4)
+
+    def test_negative_eigenvalue_rejected(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            truncated_correlation(np.diag([1.0, -1.0]), [X1] * 4)
+
+
 class TestCharacteristicFunction:
     def test_normalized_at_origin(self):
         assert characteristic_function(SQ, subtract(X1), [0.0, 0.0]) == 1.0
@@ -515,3 +561,18 @@ class TestPlaneForm:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * pts.nbytes
+
+    def test_grid_evaluation_keeps_points_uncopied(self):
+        # the undisplaced Wigner function has an all-zero base mean, which
+        # gaussian_wigner must not subtract: no copy of the points at all
+        v = random_pure_squeezed_cov(16, np.linspace(1, 8, 16), 5)
+        g = random_mode(16, 6)
+        pts = plane_points(grid2d(4.0, 201)[1], g)
+        w = nongaussian_wigner(v, add(g))
+        tracemalloc.start()
+        try:
+            w(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * pts.nbytes
