@@ -52,6 +52,10 @@ SCAN_MAX_RESAMPLES = 1000
 #: operation lowered the purity; supermodes give ``mu = mu0`` up to rounding.
 PURITY_TIE_TOL = 1e-12
 
+#: Largest ``||(1 - P) V P||_F`` at which :func:`passive_separability_witness`
+#: still counts the mode's plane as invariant under ``V``.
+SEPARABILITY_TOL = 1e-8
+
 #: Witness threshold per operation kind (see :func:`negativity_witness`).
 WITNESS_THRESHOLD = {"add": -2.0, "subtract": 2.0}
 
@@ -346,23 +350,21 @@ def purity_scan(v: np.ndarray, kind: str, n_samples: int, seed) -> PurityScan:
     return replace(plane_scan(v, kind, modes), n_resampled=resampled)
 
 
-def passive_separability_witness(
-    v: np.ndarray, g: np.ndarray, tol: float = 1e-8
-) -> bool:
+def passive_separability_witness(v: np.ndarray, g: np.ndarray) -> bool:
     """Whether a photon op in mode ``g`` keeps a pure state passively separable.
 
     True iff the (g, Jg) plane is an invariant subspace of ``V``, i.e.
-    ``||(1 - P) V P||_F < tol``, computed as ``||V G - G (G^T V G)||_F`` with
-    ``G = [g, Jg]`` (orthonormal columns, ``P = G G^T``): the initial Wigner
-    function then factorises along that plane, and so does the
-    photon-added/subtracted one.  For pure states, False means the induced
-    entanglement survives every passive transformation.  Mixed states are
-    rejected: their classification needs convex decompositions beyond this
-    criterion.
+    ``||(1 - P) V P||_F < SEPARABILITY_TOL``, computed as
+    ``||V G - G (G^T V G)||_F`` with ``G = [g, Jg]`` (orthonormal columns,
+    ``P = G G^T``): the initial Wigner function then factorises along that
+    plane, and so does the photon-added/subtracted one.  For pure states,
+    False means the induced entanglement survives every passive
+    transformation.  Mixed states are rejected: their classification needs
+    convex decompositions beyond this criterion.
     """
     v = _check_symmetric(v)
     if not is_pure(v):
         raise CovarianceError("passive separability witness supports pure states only")
     plane = mode_plane(as_mode(g))
     vg = v @ plane
-    return float(np.linalg.norm(vg - plane @ (plane.T @ vg))) < tol
+    return float(np.linalg.norm(vg - plane @ (plane.T @ vg))) < SEPARABILITY_TOL

@@ -17,11 +17,19 @@ Mode specs are either explicit coordinates ("1,0,0,0"), "supermode:i"
 state's pure part, signed so that the largest-magnitude component is
 positive), or "random" (drawn from the seed).
 
+A mode spec that starts with a minus sign is passed as ``--mode=-1,0``;
+``--mode -1,0`` reads it as an option and is a usage error.
+
 Exit codes are part of the contract: 0 ok, 1 oracle-check FAIL, 2 invalid
-state, 3 parse error or numeric flag out of range, 4 subtraction undefined on
-a vacuum mode, 5 purity scan on a mixed state, 6 Fock cutoff leakage.
-Identical flags and seed give byte-identical output; ``--workers`` is
-accepted but starts no threads.
+state (asymmetric, singular, unphysical or ill-conditioned, or an entry
+beyond ``gaussian.MAX_ENTRY``), 3 parse error (malformed state file, usage
+error, numeric flag out of range, unwritable output), 4 subtraction undefined
+on a vacuum mode, 5 purity scan on a mixed state, 6 Fock cutoff leakage.
+Errors raised anywhere in a command, usage errors included, reach
+:func:`main`, which maps each to its code and prints one line on stderr
+instead of a traceback; a failed command leaves no output file.  Identical
+flags and seed give byte-identical output; ``--workers`` is accepted but
+starts no threads.
 """
 
 from __future__ import annotations
@@ -40,8 +48,10 @@ from .errors import (
     CutoffError,
     ParseError,
     SubtractionUndefinedError,
+    SymplecticError,
 )
 from .gaussian import (
+    MAX_ENTRY,
     bloch_messiah,
     gaussian_purity,
     is_pure,
@@ -50,7 +60,7 @@ from .gaussian import (
     validate_covariance,
     williamson,
 )
-from .phase_space import apply_j, as_mode, random_mode
+from .phase_space import NORM_FLOOR, apply_j, as_mode, random_mode
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -63,7 +73,7 @@ EXIT_CUTOFF = 6
 #: Accepted range ``(low, high)`` of each integer flag; outside it the run
 #: exits 3 before any work or allocation.
 _FLAG_BOUNDS = {"samples": (1, math.inf), "grid": (1, math.inf),
-                "cutoff": (2, fock.MAX_SUGGESTED_CUTOFF)}
+                "seed": (0, math.inf), "cutoff": (2, fock.MAX_SUGGESTED_CUTOFF)}
 
 
 def _fmt(x) -> str:
@@ -79,9 +89,12 @@ def _check_flags(args) -> None:
             raise ParseError(f"--{name} must be at least {low}, got {value}")
         if value is not None and value > high:
             raise ParseError(f"--{name} must be at most {high}, got {value}")
+    # grid coordinates obey the covariance entry bound, so squares stay finite
     extent = getattr(args, "range", None)
-    if extent is not None and not (math.isfinite(extent) and extent > 0.0):
-        raise ParseError(f"--range must be finite and positive, got {extent!r}")
+    if extent is not None and not 0.0 < extent <= MAX_ENTRY:  # NaN too
+        raise ParseError(
+            f"--range must be positive and at most {MAX_ENTRY:.0e}, got {extent!r}"
+        )
 
 
 def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
@@ -100,7 +113,7 @@ def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
     except ValueError as exc:
         raise ParseError(f"cannot parse mode spec {spec!r}: {exc}") from exc
     norm = float(np.linalg.norm(coords))
-    if coords.size != v.shape[0] or not 1e-12 <= norm < math.inf:  # NaN too
+    if coords.size != v.shape[0] or not NORM_FLOOR <= norm < math.inf:  # NaN too
         raise ParseError(f"mode spec {spec!r} does not name a mode of this state")
     return as_mode(coords / norm)
 
@@ -123,7 +136,11 @@ def _open_out(args):
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w", encoding="utf-8") as out:
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
+    with out:
         yield out
 
 
@@ -245,7 +262,7 @@ def cmd_purify(args) -> int:
     v_pure, v_noise = photon_ops.decompose_pure_noise(cov.matrix)
     noise_norm = float(np.linalg.norm(v_noise))
     pure_norm = float(np.linalg.norm(v_pure))
-    if noise_norm < 1e-12:
+    if noise_norm < NORM_FLOOR:
         ratio_txt = "pure"
     else:
         ratio_txt = _fmt(pure_norm / noise_norm)
@@ -347,8 +364,19 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if ok else EXIT_ORACLE_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`ParseError` (exit 3), not ``SystemExit(2)``."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+_MODE_HELP = ("mode spec: coordinates, supermode:i or random; write a spec "
+              "that starts with a minus as --{0}=-1,0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wignerlab",
         description=(
             "Analyze single-photon-added and -subtracted multimode Gaussian "
@@ -364,9 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner-grid", help="evaluate the Wigner function on a grid")
     p.add_argument("--state", required=True)
     p.add_argument("--op", required=True, choices=("add", "subtract"))
-    p.add_argument("--mode", required=True)
+    p.add_argument("--mode", required=True, help=_MODE_HELP.format("mode"))
     p.add_argument("--plane", default=None,
-                   help="plane for the grid (defaults to the operation mode)")
+                   help="plane for the grid (defaults to the operation mode); "
+                   + _MODE_HELP.format("plane"))
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--range", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=0)
@@ -389,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default=None,
-                   help="force a fixed mode instead of random sampling")
+                   help="force a fixed mode instead of random sampling; "
+                   + _MODE_HELP.format("mode"))
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; starts no threads")
     p.add_argument("--out", default=None)
@@ -409,8 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
     except ParseError as exc:
@@ -427,7 +457,7 @@ def main(argv=None) -> int:
         )
         print(f"cutoff leakage: {exc}{hint}", file=sys.stderr)
         return EXIT_CUTOFF
-    except (CovarianceError, np.linalg.LinAlgError) as exc:
+    except (CovarianceError, SymplecticError, np.linalg.LinAlgError) as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
 

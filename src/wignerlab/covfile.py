@@ -13,7 +13,9 @@ the classic interoperability failure in this domain:
       "metadata": {"label": "..."}   # optional, free-form
     }
 
-Floats are serialised with full precision (shortest round-trip decimal form,
+``modes`` is a JSON integer and every matrix and mean entry a JSON number;
+booleans, strings and fractional mode counts are rejected.  Floats are
+serialised with full precision (shortest round-trip decimal form,
 up to 17 significant digits), so write-then-read reproduces a matrix
 bit-exactly.
 """
@@ -44,13 +46,29 @@ class CovarianceFile:
         return self.matrix.shape[0] // 2
 
 
+def _numbers(value, depth: int, what: str) -> np.ndarray:
+    """``value``, lists nested ``depth`` deep around JSON numbers, as floats."""
+    items = [value]
+    for _ in range(depth):
+        if not all(type(x) is list for x in items):
+            raise ParseError(f"{what} must be lists nested {depth} deep")
+        items = [y for x in items for y in x]
+    if not all(type(x) in (int, float) for x in items):
+        raise ParseError(f"{what} entries must be JSON numbers")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, huge integers
+        raise ParseError(f"malformed {what} data: {exc}") from exc
+
+
 def load_covariance(path) -> CovarianceFile:
     """Read and structurally validate a state file.
 
     Raises:
         ParseError: unreadable JSON, missing fields, convention mismatch,
-            inconsistent shapes or non-finite numbers.  Symmetry and the
-            symplectic spectrum are the caller's job (``validate_covariance``).
+            wrongly typed fields, inconsistent shapes or non-finite numbers.
+            Symmetry and the symplectic spectrum are the caller's job
+            (``validate_covariance``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,17 +89,16 @@ def load_covariance(path) -> CovarianceFile:
         raise ParseError(
             f"unsupported scaling {doc['scaling']!r}; expected {SCALING!r}"
         )
-    try:
-        modes = int(doc["modes"])
-        matrix = np.array(doc["matrix"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed matrix data: {exc}") from exc
+    modes = doc["modes"]
+    if type(modes) is not int:  # bool is a subclass of int
+        raise ParseError(f"modes must be a JSON integer, got {modes!r}")
+    matrix = _numbers(doc["matrix"], 2, "matrix")
     if modes < 1 or matrix.shape != (2 * modes, 2 * modes):
         raise ParseError(
             f"matrix shape {matrix.shape} does not match modes = {modes}"
         )
     if "mean" in doc and doc["mean"] is not None:
-        mean = np.array(doc["mean"], dtype=float)
+        mean = _numbers(doc["mean"], 1, "mean")
         if mean.shape != (2 * modes,):
             raise ParseError("mean vector length does not match the matrix")
     else:
@@ -95,7 +112,11 @@ def load_covariance(path) -> CovarianceFile:
 
 
 def save_covariance(path, matrix: np.ndarray, mean=None, metadata=None) -> None:
-    """Write a state file; floats keep their exact shortest repr."""
+    """Write a state file; floats keep their exact shortest repr.
+
+    Raises:
+        ParseError: the file cannot be opened for writing.
+    """
     matrix = np.asarray(matrix, dtype=float)
     modes = matrix.shape[0] // 2
     doc = {
@@ -108,6 +129,10 @@ def save_covariance(path, matrix: np.ndarray, mean=None, metadata=None) -> None:
         doc["mean"] = [float(x) for x in np.asarray(mean, dtype=float)]
     if metadata:
         doc["metadata"] = metadata
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+    with fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

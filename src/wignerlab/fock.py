@@ -65,7 +65,7 @@ from .errors import (
 )
 from .gaussian import PURE_TOL, SYMPLECTIC_TOL, bloch_messiah, symplectic_to_unitary
 from .gaussian import williamson
-from .phase_space import as_mode, complete_symplectic_basis
+from .phase_space import NORM_FLOOR, as_mode, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
 
 MAX_MODES = 3
@@ -73,6 +73,13 @@ MAX_SQUEEZING = 1.2  # nats; leakage is hopeless beyond this at sane cutoffs
 LEAK_TOL = 1e-8
 DEFAULT_CUTOFF = 20
 MAX_SUGGESTED_CUTOFF = 512
+
+#: Squeezing read from ``bloch_messiah`` may exceed ``MAX_SQUEEZING`` by this
+#: much through rounding and still be accepted.
+_SQUEEZING_SLACK = 1e-12
+
+#: Unitary entries below this magnitude are zero when choosing Givens rotations.
+_GIVENS_ZERO_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ def apply_photon_op(state: FockState, op: PhotonOpSpec) -> tuple[FockState, floa
     amp = _ladder(psi, low, high, np.empty(psi.shape, complex),
                   np.empty(psi.shape, complex))
     norm_sq = float(np.vdot(amp, amp).real)
-    if norm_sq <= 1e-12:
+    if norm_sq <= NORM_FLOOR:
         if op.kind == "subtract":
             raise SubtractionUndefinedError(
                 "photon subtraction annihilated the state (vacuum mode)"
@@ -297,9 +304,9 @@ def _givens_factors(u: np.ndarray):
     for col in range(n):
         for row in range(n - 1, col, -1):
             a, b = u[row - 1, col], u[row, col]
-            if abs(b) < 1e-14:
+            if abs(b) < _GIVENS_ZERO_TOL:
                 continue
-            if abs(a) < 1e-14:
+            if abs(a) < _GIVENS_ZERO_TOL:
                 theta, phi = np.pi / 2.0, 0.0
             else:
                 theta = np.arctan2(abs(b), abs(a))
@@ -368,7 +375,7 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
         raise ValueError("oracle states must be pure (unit symplectic spectrum)")
     bm = bloch_messiah(wl.s)
     rs = np.log(bm.squeezing)
-    if np.max(rs) > MAX_SQUEEZING + 1e-12:
+    if np.max(rs) > MAX_SQUEEZING + _SQUEEZING_SLACK:
         raise ValueError(
             f"squeezing {np.max(rs):.3f} nats exceeds the oracle bound "
             f"{MAX_SQUEEZING}"

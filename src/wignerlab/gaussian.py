@@ -42,6 +42,13 @@ SYMPLECTIC_TOL = 1e-9
 #: Singular values of a symplectic matrix this close to one are unsqueezed.
 UNIT_SINGULAR_TOL = 1e-8
 
+#: Covariance eigenvalues at most this fraction of ``max(largest, 1)`` are singular.
+SINGULAR_TOL = 1e-13
+
+#: Largest accepted covariance entry: quadratic forms and 2x2 plane
+#: determinants of accepted states stay finite.
+MAX_ENTRY = 1e100
+
 
 def _as_even_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
@@ -60,43 +67,40 @@ def _check_symmetric(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def _spd_roots(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of an SPD matrix."""
+def _spectral_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gate, symmetrise and root ``v``: ``V^1/2`` and the Hermitian
+    ``H = i (A - A^T) / 2``, ``A = V^-1/2 J V^-1/2``, with eigenvalues ``+-1/nu``.
+    An entry that is NaN, infinite or beyond ``MAX_ENTRY`` raises ``LinAlgError``."""
+    if not np.all(np.abs(v) <= MAX_ENTRY):  # NaN too
+        raise np.linalg.LinAlgError(f"covariance entry NaN or beyond {MAX_ENTRY:.0e}")
+    v = _check_symmetric(v)
     w, u = np.linalg.eigh(v)
-    if w[0] <= max(w[-1], 1.0) * 1e-13:
-        raise CovarianceError(
-            f"covariance matrix near-singular: min eigenvalue {w[0]:.3e}"
-        )
+    if w[0] <= max(w[-1], 1.0) * SINGULAR_TOL:
+        raise CovarianceError(f"near-singular covariance: min eigenvalue {w[0]:.3e}")
     sq = np.sqrt(w)
-    return (u * sq) @ u.T, (u / sq) @ u.T
+    inv_sqrt_v = (u / sq) @ u.T
+    anti = inv_sqrt_v @ symplectic_form(v.shape[0] // 2) @ inv_sqrt_v
+    return (u * sq) @ u.T, 0.5j * (anti - anti.T)
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a symmetric positive-definite matrix.
-
-    Returns the ``m`` doubled eigenvalues of ``i J V`` once each, descending.
-    Computed from the singular values of the antisymmetric matrix
-    ``V^1/2 J V^1/2`` (each appears twice), which keeps everything real.
-    """
-    v = _check_symmetric(v)
-    sqrt_v, _ = _spd_roots(v)
-    m = v.shape[0] // 2
-    anti = sqrt_v @ symplectic_form(m) @ sqrt_v
-    s = np.linalg.svd(anti, compute_uv=False)
-    return 0.5 * (s[0::2] + s[1::2])
+    """The ``m`` doubled eigenvalues of ``i J V`` once each, descending."""
+    _, h = _spectral_pair(v)
+    return 1.0 / np.linalg.eigvalsh(h)[h.shape[0] // 2:]  # lam ascends
 
 
 def validate_covariance(v: np.ndarray) -> np.ndarray:
     """Check physicality and return the symplectic spectrum, descending.
 
     Raises:
-        CovarianceError: asymmetric input, or any symplectic eigenvalue
-            below ``1 - PHYSICALITY_TOL``.
+        CovarianceError: asymmetric or near-singular input, or any symplectic
+            eigenvalue below ``1 - PHYSICALITY_TOL``.
+        np.linalg.LinAlgError: an entry beyond ``MAX_ENTRY`` or not finite.
     """
     nu = symplectic_eigenvalues(v)
     if nu[-1] < 1.0 - PHYSICALITY_TOL:
         raise CovarianceError(
-            f"unphysical covariance: symplectic eigenvalue {nu[-1]!r} < 1"
+            f"unphysical covariance: symplectic eigenvalue {float(nu[-1])!r} < 1"
         )
     return nu
 
@@ -168,16 +172,14 @@ class Williamson:
 def williamson(v: np.ndarray) -> Williamson:
     """Williamson decomposition of a symmetric positive-definite matrix.
 
-    The Hermitian matrix ``i V^-1/2 J V^-1/2`` has eigenvalues ``+-1/nu``.
-    Its eigenvectors ``w`` for ``+1/nu`` satisfy ``w^T w = 0`` (``conj(w)``
-    belongs to ``-1/nu``), so ``sqrt(2) (Re w, Im w)`` is an orthonormal
-    J-paired basis even inside degenerate eigenspaces; scaling it gives ``S``.
+    The eigenvectors ``w`` of :func:`_spectral_pair`'s ``H`` for ``+1/nu``
+    satisfy ``w^T w = 0`` (``conj(w)`` belongs to ``-1/nu``), so
+    ``sqrt(2) (Re w, Im w)`` is an orthonormal J-paired basis even inside
+    degenerate eigenspaces; scaling it gives ``S``.
     """
-    v = _check_symmetric(v)
-    m = v.shape[0] // 2
-    sqrt_v, inv_sqrt_v = _spd_roots(v)
-    anti = inv_sqrt_v @ symplectic_form(m) @ inv_sqrt_v
-    lam, w = np.linalg.eigh(0.5j * (anti - anti.T))
+    sqrt_v, h = _spectral_pair(v)
+    m = h.shape[0] // 2
+    lam, w = np.linalg.eigh(h)
     nu = 1.0 / lam[m:]  # lam ascends, so nu descends
     k = np.sqrt(2.0) * np.concatenate([w[:, m:].real, w[:, m:].imag], axis=1)
     s = sqrt_v @ k / np.sqrt(np.concatenate([nu, nu]))
@@ -272,8 +274,7 @@ def random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_orthogonal_symplectic(m: int, seed) -> np.ndarray:
     """Haar-random passive transformation (image of a random unitary)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return unitary_to_symplectic(random_unitary(m, rng))
+    return unitary_to_symplectic(random_unitary(m, np.random.default_rng(seed)))
 
 
 def db_to_scale(db: np.ndarray) -> np.ndarray:
@@ -309,7 +310,7 @@ def random_mixed_cov(m: int, seed, max_squeezing_db: float = 6.0,
     eigenvalues are drawn uniformly from ``[1, max_thermal]``; pass
     ``max_thermal = 1`` for a random pure state.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     k = db_to_scale(rng.uniform(0.0, max_squeezing_db, size=m))
     o1 = random_orthogonal_symplectic(m, rng)
     o2 = random_orthogonal_symplectic(m, rng)

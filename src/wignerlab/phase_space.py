@@ -34,6 +34,11 @@ MODE_NORM_TOL = 1e-9
 #: this a mode validated twice would not keep its bits.
 _MODE_ROUNDING_TOL = 1e-14
 
+#: A norm below this is zero: no direction is read from a mode draw or mode
+#: spec this short, a noise matrix this small is no noise, and a Fock state
+#: whose squared norm falls this low has no weight left to renormalise.
+NORM_FLOOR = 1e-12
+
 
 def _even_dim(size: int) -> int:
     if size == 0 or size % 2:
@@ -122,7 +127,7 @@ def random_mode(m: int, seed) -> np.ndarray:
     while True:
         v = rng.standard_normal(2 * m)
         norm = np.linalg.norm(v)
-        if norm > 1e-12:
+        if norm > NORM_FLOOR:
             break
     return as_mode(v / norm)
 

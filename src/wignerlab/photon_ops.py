@@ -13,7 +13,9 @@ and everything else in this module is a closed-form consequence of ``A``:
 * truncated correlations (joint cumulants) of every even order ``2k``: as
   ``A = Y Y^T`` has rank two, ``(f_i, A f_j) = Re(conj(z_i) z_j)`` with
   ``z_i = (Y^T f_i)_1 + i (Y^T f_i)_2``, and the sum over pair partitions of
-  their products is ``k! [x^k] prod_i (conj(z_i) + z_i x) / 2^k``,
+  their products is ``k! [x^k] prod_i (conj(z_i) + z_i x) / 2^k``; the
+  largest eigenvalue ``w_1`` of ``A`` leaves the ``z_i`` as a factor
+  ``w_1^k``, so that equal eigenvalues keep them exact,
 * the characteristic function,
 * the Wigner function, the original Gaussian times one squared-norm bracket;
   for the state displaced by ``xi`` before the operation it reads
@@ -80,6 +82,11 @@ SUBTRACTION_TOL = 1e-12
 #: noise eigenvalues then span null directions, along which displacements are
 #: deterministic (fixes the draws), and a correction matrix has rank two.
 _NOISE_RANK_TOL = 1e-9
+
+#: A displacement whose coordinate along a null direction of ``V_noise``
+#: exceeds this (absolute, in amplitude units) leaves the noise range.  Not
+#: ``_NOISE_RANK_TOL``: that one is relative and bounds eigenvalues (variances).
+_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -200,12 +207,13 @@ def truncated_correlation(a: np.ndarray, modes) -> float:
     tol = _NOISE_RANK_TOL * max(np.max(np.abs(w)), 1.0)
     if np.any(np.abs(w[:-2]) > tol) or w[-2] < -tol:
         raise ValueError("correction matrix is not positive semidefinite of rank two")
-    y = np.array(fs) @ (u[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0)))
+    w1 = w[-1] if w[-1] > 0.0 else 1.0  # a zero matrix has no scale to factor out
+    y = np.array(fs) @ (u[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0) / w1))
     poly = np.ones(1)
     for z in y[:, 0] + 1j * y[:, 1]:
         poly = np.convolve(poly, [z.conjugate(), z])
     k = n // 2
-    haf = math.factorial(k) * poly[k].real / 2.0**k
+    haf = math.factorial(k) * poly[k].real * (w1 / 2.0) ** k
     return float((-1.0) ** (k - 1) * math.factorial(k - 1) * haf)
 
 
@@ -464,7 +472,7 @@ def displacement_density(
         )
     rank = int(pos.sum())
     coords = xi2 @ u  # components along the eigenbasis
-    in_range = np.max(np.abs(coords[:, ~pos]), axis=1, initial=0.0) <= 1e-9
+    in_range = np.max(np.abs(coords[:, ~pos]), axis=1, initial=0.0) <= _RANGE_TOL
 
     quad = np.einsum("ni,i->n", coords[:, pos] ** 2, 1.0 / w[pos])
     log_norm = 0.5 * (rank * np.log(2.0 * np.pi) + np.log(w[pos]).sum())

@@ -110,6 +110,7 @@ def test_criterion_2_cumulant_equivalence(oracle_cases):
     )
     assert worst < 1e-7
     assert abs(fixed + 12.0) < 1e-8
+    assert fixed_closed == -12.0
 
 
 def test_criterion_3_witness_exactness():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, random_case
+from wignerlab import analysis
 from wignerlab.analysis import (
     WITNESS_THRESHOLD,
     marginal_wigner,
@@ -356,13 +357,16 @@ class TestPassiveSeparability:
         assert hits == 20
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_tol_bounds_projector_residual(self, seed):
-        # the plane form computes ||(1 - P) V P||_F, so tol keeps its meaning
+    def test_tol_bounds_projector_residual(self, seed, monkeypatch):
+        # the plane form computes ||(1 - P) V P||_F, so the tolerance keeps
+        # its meaning
         rng = np.random.default_rng(4100 + seed)
         m = int(rng.integers(2, 5))
         v = random_pure_squeezed_cov(m, rng.uniform(-6, 6, size=m), rng)
         g = random_mode(m, rng)
         p = mode_projector(g)
         resid = float(np.linalg.norm((np.eye(2 * m) - p) @ v @ p))
-        assert passive_separability_witness(v, g, tol=resid * (1.0 + 1e-9))
-        assert not passive_separability_witness(v, g, tol=resid * (1.0 - 1e-9))
+        monkeypatch.setattr(analysis, "SEPARABILITY_TOL", resid * (1.0 + 1e-9))
+        assert passive_separability_witness(v, g)
+        monkeypatch.setattr(analysis, "SEPARABILITY_TOL", resid * (1.0 - 1e-9))
+        assert not passive_separability_witness(v, g)

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import wignerlab
+from wignerlab import cli
 from wignerlab.cli import main
 from wignerlab.covfile import load_covariance, save_covariance
+from wignerlab.errors import ParseError, SymplecticError
 from wignerlab.gaussian import random_pure_squeezed_cov
 
 TWO_PI = 2.0 * np.pi
@@ -79,7 +82,7 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         doc = {"modes": 1, "matrix": [[1.0, 0.0], [0.0, 1.0]], "scaling": "shot-noise-1"}
         path.write_text(json.dumps(doc))
-        from wignerlab.errors import ParseError
+        from wignerlab.errors import ParseError, SymplecticError
 
         with pytest.raises(ParseError, match="ordering"):
             load_covariance(path)
@@ -93,7 +96,7 @@ class TestRoundTrip:
             "matrix": [[1.0, 0.0], [0.0, 1.0]],
         }
         path.write_text(json.dumps(doc))
-        from wignerlab.errors import ParseError
+        from wignerlab.errors import ParseError, SymplecticError
 
         with pytest.raises(ParseError, match="ordering"):
             load_covariance(path)
@@ -155,15 +158,168 @@ class TestNonFiniteAndOverflow:
         assert code == 3
         assert "finite" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(COMMANDS_ON_STATE))
     def test_overflowing_matrix_is_invalid_state(self, tmp_path, capsys, command):
-        # finite entries that overflow inside the linear algebra; LAPACK fails
+        # finite entries beyond the entry gate; no overflow warning fires first
         bad = tmp_path / "huge.json"
         save_covariance(bad, np.full((2, 2), 1e308))
         code, _, err = run(capsys, *COMMANDS_ON_STATE[command](bad, tmp_path))
         assert code == 2
         assert "invalid state" in err
+
+
+STATE_COMMANDS = {
+    **COMMANDS_ON_STATE,
+    "wigner-grid": lambda path, tmp: [
+        "wigner-grid", "--state", path, "--op", "add", "--mode", "1,0", "--grid", "3",
+        "--out", tmp / "grid.csv",
+    ],
+    "purity-scan": lambda path, tmp: [
+        "purity-scan", "--state", path, "--op", "add", "--out", tmp / "scan.csv",
+    ],
+}
+
+
+class TestEntryBound:
+    @pytest.mark.parametrize("command", sorted(STATE_COMMANDS))
+    @pytest.mark.parametrize("matrix", ["full-1e308", "diag-1e200"])
+    def test_beyond_bound_is_invalid_state(self, tmp_path, capsys, command, matrix):
+        # diag(1e200, 1e200) used to pass validation; witness-scan then wrote
+        # mu0 = mu = 0.0 after an overflow warning and exited 0
+        v = np.full((2, 2), 1e308) if matrix == "full-1e308" else np.diag([1e200, 1e200])
+        bad = tmp_path / "huge.json"
+        save_covariance(bad, v)
+        code, out, err = run(capsys, *STATE_COMMANDS[command](bad, tmp_path))
+        assert code == 2
+        assert err.startswith("invalid state:") and len(err.splitlines()) == 1
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+    def test_state_within_bound_gives_finite_rows(self, tmp_path, capsys):
+        state = tmp_path / "big.json"
+        save_covariance(state, np.diag([1e99, 1e99]))
+        code, out, _ = run(capsys, "witness-scan", "--state", state, "--op", "add",
+                           "--samples", "4")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()[1:-1]))
+        assert len(rows) == 4
+        assert all(float(r["mu0"]) == pytest.approx(1e-99) for r in rows)
+        assert all(np.isfinite(float(x)) for r in rows for x in r.values())
+
+
+def test_symplectic_error_is_invalid_state(states, capsys, monkeypatch):
+    # supermode:i on a state too ill-conditioned for Bloch-Messiah
+    def fail(s):
+        raise SymplecticError("eigenvalue pairing failed; matrix too ill-conditioned")
+
+    monkeypatch.setattr(cli, "bloch_messiah", fail)
+    code, out, err = run(capsys, "wigner-grid", "--state", states["squeezed"], "--op",
+                         "add", "--mode", "supermode:0", "--grid", "3")
+    assert code == 2
+    assert err.startswith("invalid state:") and len(err.splitlines()) == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["witness-scan", "--state", "{squeezed}", "--op", "add"],
+        ["witness-scan", "--state", "{squeezed}", "--op", "add", "--samples", "x"],
+        ["witness-scan", "--state", "{squeezed}", "--op", "mul", "--samples", "1"],
+        ["wigner-grid", "--state", "{squeezed}", "--op", "add", "--mode", "-1,0"],
+        ["wigner-grid", "--state", "{squeezed}", "--op", "add", "--mode", "1,0",
+         "--range", "wide"],
+        ["validate", "{squeezed}", "--unknown"],
+    ], ids=["no-command", "unknown-command", "missing-flag", "samples-not-int",
+            "bad-op", "leading-minus-mode", "range-not-float", "unknown-flag"])
+    def test_exit_3_through_main(self, states, capsys, argv):
+        code, out, err = run(capsys, *[a.format(**states) for a in argv])
+        assert code == 3
+        assert err.startswith("parse error: ") and len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_leading_minus_mode_with_equals_form(self, states, capsys):
+        code, out, _ = run(capsys, "wigner-grid", "--state", states["squeezed"],
+                           "--op", "add", "--mode=-1,0", "--grid", "3")
+        assert code == 0
+        assert "mode=-1,0" in out
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner-grid", "--help"])
+        assert exc.value.code == 0
+        assert "--mode=-1,0" in capsys.readouterr().out
+
+
+UNWRITABLE = {
+    "witness-scan": lambda s, out: ["witness-scan", "--state", s["squeezed"], "--op",
+                                    "add", "--samples", "2", "--out", out],
+    "purity-scan": lambda s, out: ["purity-scan", "--state", s["squeezed"], "--op",
+                                   "add", "--out", out],
+    "wigner-grid": lambda s, out: ["wigner-grid", "--state", s["squeezed"], "--op",
+                                   "add", "--mode", "1,0", "--grid", "3", "--out", out],
+    "purify": lambda s, out: ["purify", "--state", s["thermal"], "--out", out],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", sorted(UNWRITABLE))
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_exit_3_and_nothing_written(self, states, tmp_path, capsys, command, target):
+        out_dir = tmp_path / "outputs"
+        out_dir.mkdir()
+        out = out_dir / "missing" / "x.out" if target == "missing-directory" else out_dir
+        code, stdout, err = run(capsys, *UNWRITABLE[command](states, out))
+        assert code == 3
+        assert err.startswith("parse error: cannot write") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert list(out_dir.iterdir()) == []
+        assert "written" not in stdout
+
+
+def _state_doc(**fields):
+    doc = {"modes": 1, "ordering": "xxpp", "scaling": "shot-noise-1",
+           "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+    doc.update(fields)
+    return doc
+
+
+class TestStrictSchema:
+    @pytest.mark.parametrize("fields", [
+        {"modes": 1.7},
+        {"modes": 1.0},
+        {"modes": "1"},
+        {"modes": True},
+        {"modes": None},
+        {"matrix": [[True, 0], [0, True]]},
+        {"matrix": [["1", 0], [0, 1]]},
+        {"matrix": [[1, 0], [0, None]]},
+        {"matrix": [[1, 0], [0]]},
+        {"matrix": [1, 0, 0, 1]},
+        {"matrix": [[[1], 0], [0, 1]]},
+        {"matrix": [[1e400, 0], [0, 1]]},
+        {"matrix": [[10**400, 0], [0, 1]]},
+        {"mean": [False, 0.0]},
+        {"mean": ["0", 0.0]},
+        {"mean": [[0.0, 0.0]]},
+    ], ids=["modes-fraction", "modes-float", "modes-string", "modes-bool",
+            "modes-null", "matrix-bools", "matrix-string", "matrix-null",
+            "matrix-ragged", "matrix-flat", "matrix-nested", "matrix-inf-literal",
+            "matrix-huge-int", "mean-bool", "mean-string", "mean-nested"])
+    def test_exit_3(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_state_doc(**fields)))
+        with pytest.raises(ParseError):
+            load_covariance(path)
+        code, out, err = run(capsys, "validate", path)
+        assert code == 3
+        assert err.startswith("parse error: ") and out == ""
+
+    def test_integers_are_numbers(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(_state_doc(matrix=[[2, 0], [0, 1]], mean=[0, 1])))
+        cov = load_covariance(path)
+        assert cov.matrix.dtype == float and cov.mean.tolist() == [0.0, 1.0]
 
 
 BAD_FLAGS = [
@@ -181,6 +337,10 @@ BAD_FLAGS = [
     ("oracle-check", "--cutoff", "0"),
     ("oracle-check", "--cutoff", "-2"),
     ("oracle-check", "--cutoff", "513"),
+    ("witness-scan", "--seed", "-1"),
+    ("wigner-grid", "--seed", "-1"),
+    ("wigner-grid", "--range", "1.01e100"),
+    ("wigner-grid", "--range", "1e308"),
 ]
 
 

@@ -6,10 +6,12 @@ import pytest
 from conftest import grid2d, integrate2d
 from wignerlab.errors import CovarianceError, SymplecticError
 from wignerlab.gaussian import (
+    MAX_ENTRY,
     bloch_messiah,
     db_to_scale,
     gaussian_purity,
     gaussian_wigner,
+    is_pure,
     random_mixed_cov,
     random_orthogonal_symplectic,
     random_pure_squeezed_cov,
@@ -18,6 +20,7 @@ from wignerlab.gaussian import (
     validate_covariance,
     williamson,
 )
+from wignerlab.photon_ops import decompose_pure_noise
 from wignerlab.phase_space import (
     basis_change_matrix,
     complete_symplectic_basis,
@@ -47,6 +50,46 @@ class TestValidate:
     def test_unphysical_rejected(self):
         with pytest.raises(CovarianceError, match="unphysical"):
             validate_covariance(0.5 * np.eye(2))
+
+
+class TestSpectralGate:
+    """One eigenproblem behind one entry gate: every reader of the symplectic
+    spectrum rejects entries that are not finite or beyond ``MAX_ENTRY``."""
+
+    READERS = [symplectic_eigenvalues, validate_covariance, is_pure, williamson,
+               decompose_pure_noise]
+    BEYOND = {
+        "full-1e308": np.full((2, 2), 1e308),
+        "diag-1e200": np.diag([1e200, 1e200]),
+        "just-above": np.diag([MAX_ENTRY * (1 + 1e-15), 1.0]),
+        "nan": np.diag([np.nan, 1.0]),
+        "inf": np.diag([np.inf, 1.0]),
+        "neg-inf-off-diagonal": np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
+    }
+
+    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("name", sorted(BEYOND))
+    def test_rejected_before_arithmetic(self, reader, name):
+        # warnings are errors in this suite, so an overflow first would fail here
+        with pytest.raises(np.linalg.LinAlgError, match="beyond"):
+            reader(self.BEYOND[name])
+
+    def test_bound_itself_accepted(self):
+        v = np.diag([MAX_ENTRY, MAX_ENTRY])
+        assert symplectic_eigenvalues(v) == pytest.approx([MAX_ENTRY], rel=1e-12)
+        wl = williamson(v)
+        assert np.all(np.isfinite(wl.s)) and wl.nu == pytest.approx([MAX_ENTRY])
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_spectrum_matches_eigenvalues_of_ijv(self, seed):
+        # independent reference: the eigenvalues of iJV are +-nu
+        rng = np.random.default_rng(7300 + seed)
+        m = seed + 1
+        v = random_mixed_cov(m, rng, max_squeezing_db=8.0, max_thermal=3.0)
+        ref = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(m) @ v)))[::-2]
+        nu = symplectic_eigenvalues(v)
+        assert np.allclose(nu, ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(williamson(v).nu, nu, rtol=1e-12, atol=0.0)
 
 
 class TestGaussianWigner:
