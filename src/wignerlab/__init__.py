@@ -25,6 +25,7 @@ from .errors import (
     CovarianceError,
     CutoffError,
     DimensionError,
+    MixedStateError,
     ModeValidationError,
     ParseError,
     SubtractionUndefinedError,

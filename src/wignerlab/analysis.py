@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CovarianceError, DimensionError, SubtractionUndefinedError
+from .errors import CovarianceError, DimensionError, MixedStateError
+from .errors import SubtractionUndefinedError
 from .gaussian import _check_symmetric, gaussian_wigner, is_pure
 from .phase_space import as_mode, mode_plane, random_mode
 from .photon_ops import (
@@ -345,7 +346,7 @@ def purity_scan(v: np.ndarray, kind: str, n_samples: int, seed) -> PurityScan:
     ``[seed, index]``.
     """
     if not is_pure(v):
-        raise CovarianceError("purity scan requires a pure state")
+        raise MixedStateError("purity scan requires a pure state")
     modes, resampled = draw_scan_modes(v, kind, n_samples, seed)
     return replace(plane_scan(v, kind, modes), n_resampled=resampled)
 

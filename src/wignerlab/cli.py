@@ -25,11 +25,11 @@ state (asymmetric, singular, unphysical or ill-conditioned, or an entry
 beyond ``gaussian.MAX_ENTRY``), 3 parse error (malformed state file, usage
 error, numeric flag out of range, unwritable output), 4 subtraction undefined
 on a vacuum mode, 5 purity scan on a mixed state, 6 Fock cutoff leakage.
-Errors raised anywhere in a command, usage errors included, reach
-:func:`main`, which maps each to its code and prints one line on stderr
-instead of a traceback; a failed command leaves no output file.  Identical
-flags and seed give byte-identical output; ``--workers`` is accepted but
-starts no threads.
+A command returns only 0 or 1 and raises every other outcome, usage errors
+included, to :func:`main`, which maps the error to its code and prints one
+line on stderr instead of a traceback: a failed run prints nothing on stdout
+and leaves no output file.  Identical flags and seed give byte-identical
+output; ``--workers`` is accepted but starts no threads.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .covfile import ORDERING, SCALING, load_covariance, save_covariance
 from .errors import (
     CovarianceError,
     CutoffError,
+    MixedStateError,
     ParseError,
     SubtractionUndefinedError,
     SymplecticError,
@@ -53,10 +54,8 @@ from .errors import (
 from .gaussian import (
     MAX_ENTRY,
     bloch_messiah,
-    gaussian_purity,
-    is_pure,
+    is_pure_spectrum,
     random_pure_squeezed_cov,
-    symplectic_eigenvalues,
     validate_covariance,
     williamson,
 )
@@ -70,9 +69,13 @@ EXIT_SUBTRACTION = 4
 EXIT_MIXED_PURITY_SCAN = 5
 EXIT_CUTOFF = 6
 
+#: Most rows one command allocates: ``--samples`` modes or ``--grid``
+#: squared points.
+MAX_ROWS = 2**24
+
 #: Accepted range ``(low, high)`` of each integer flag; outside it the run
 #: exits 3 before any work or allocation.
-_FLAG_BOUNDS = {"samples": (1, math.inf), "grid": (1, math.inf),
+_FLAG_BOUNDS = {"samples": (1, MAX_ROWS), "grid": (1, math.isqrt(MAX_ROWS)),
                 "seed": (0, math.inf), "cutoff": (2, fock.MAX_SUGGESTED_CUTOFF)}
 
 
@@ -119,9 +122,9 @@ def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
 
 
 def _load_validated(path):
+    """The state file at ``path`` and its symplectic spectrum, descending."""
     cov = load_covariance(path)
-    validate_covariance(cov.matrix)
-    return cov
+    return cov, validate_covariance(cov.matrix)
 
 
 def _require_zero_mean(cov) -> None:
@@ -180,22 +183,15 @@ def _plane_grid(extent: float, n: int, h: np.ndarray):
 
 
 def cmd_validate(args) -> int:
-    cov = load_covariance(args.state)
-    try:
-        nu = validate_covariance(cov.matrix)
-    except CovarianceError as exc:
-        print(f"invalid state: {exc}")
-        return EXIT_INVALID_STATE
-    purity = gaussian_purity(cov.matrix)
-    kind = "pure" if is_pure(cov.matrix) else "mixed"
+    _, nu = _load_validated(args.state)
     nus = ", ".join(f"{x:.12g}" for x in nu)
-    print(f"nu = {nus}; {kind}")
-    print(f"purity = {purity:.12g}")
+    print(f"nu = {nus}; {'pure' if is_pure_spectrum(nu) else 'mixed'}")
+    print(f"purity = {np.prod(1.0 / nu):.12g}")  # (det V)^-1/2
     return EXIT_OK
 
 
 def cmd_wigner_grid(args) -> int:
-    cov = _load_validated(args.state)
+    cov, _ = _load_validated(args.state)
     _require_zero_mean(cov)
     g = _resolve_mode(args.mode, cov.matrix, args.seed)
     plane = g if args.plane is None else _resolve_mode(args.plane, cov.matrix, args.seed)
@@ -219,7 +215,7 @@ def cmd_wigner_grid(args) -> int:
 
 
 def cmd_witness_scan(args) -> int:
-    cov = _load_validated(args.state)
+    cov, _ = _load_validated(args.state)
     _require_zero_mean(cov)
     modes, _ = analysis.draw_scan_modes(cov.matrix, args.op, args.samples, args.seed)
     scan = analysis.plane_scan(cov.matrix, args.op, modes)
@@ -232,16 +228,14 @@ def cmd_witness_scan(args) -> int:
 
 
 def cmd_purity_scan(args) -> int:
-    cov = _load_validated(args.state)
+    cov, nu = _load_validated(args.state)
     _require_zero_mean(cov)
-    v = cov.matrix
-    if not is_pure(v):
-        print(
+    if not is_pure_spectrum(nu):
+        raise MixedStateError(
             "purity scan requires a pure state; run `wignerlab purify` first "
-            f"(symplectic eigenvalues up to {symplectic_eigenvalues(v)[0]:.6g})"
+            f"(symplectic eigenvalues up to {nu[0]:.6g})"
         )
-        return EXIT_MIXED_PURITY_SCAN
-
+    v = cov.matrix
     if args.mode is None:
         modes, resampled = analysis.draw_scan_modes(v, args.op, args.samples, args.seed)
     else:
@@ -257,8 +251,7 @@ def cmd_purity_scan(args) -> int:
 
 
 def cmd_purify(args) -> int:
-    cov = load_covariance(args.state)
-    validate_covariance(cov.matrix)
+    cov, _ = _load_validated(args.state)
     v_pure, v_noise = photon_ops.decompose_pure_noise(cov.matrix)
     noise_norm = float(np.linalg.norm(v_noise))
     pure_norm = float(np.linalg.norm(v_pure))
@@ -287,73 +280,43 @@ CUMULANT_TOL = 1e-7
 COVARIANCE_TOL = 1e-7
 
 
-def _preset_case(preset: str, cutoff: int):
-    """State, operation and Fock state for one oracle preset."""
-    if preset == "vacuum-add":
-        v = np.eye(2)
-        g = np.array([1.0, 0.0])
-        kind = "add"
-        state = fock.vacuum_state(1, cutoff)
-        xi = None
-    elif preset == "squeezed-subtract":
-        v = np.diag([2.0, 0.5])
-        g = np.array([1.0, 0.0])
-        kind = "subtract"
-        state = fock.gaussian_fock_state(v, cutoff)
-        xi = None
-    elif preset == "two-mode-random":
-        v = random_pure_squeezed_cov(2, [4.0, -3.0], 0xF0CC)
-        g = random_mode(2, 0xF0CD)
-        kind = "subtract"
-        state = fock.gaussian_fock_state(v, cutoff)
-        xi = None
-    elif preset == "displaced-add":
-        v = np.eye(2)
-        g = np.array([1.0, 0.0])
-        kind = "add"
-        xi = np.array([2.0, 0.0])
-        state = fock.displace_state(fock.vacuum_state(1, cutoff), xi)
-    else:
-        raise ParseError(f"unknown preset {preset!r}")
-    return v, photon_ops.PhotonOpSpec(kind, g), state, xi
+def _oracle_presets() -> dict:
+    """Covariance, mode, operation, displacement and default cutoff of each
+    preset; built per run, so importing the CLI draws no random state."""
+    vacuum, x = np.eye(2), np.array([1.0, 0.0])
+    return {
+        "vacuum-add": (vacuum, x, "add", np.zeros(2), 48),
+        "squeezed-subtract": (np.diag([2.0, 0.5]), x, "subtract", np.zeros(2), 64),
+        "two-mode-random": (random_pure_squeezed_cov(2, [4.0, -3.0], 0xF0CC),
+                            random_mode(2, 0xF0CD), "subtract", np.zeros(4), 64),
+        "displaced-add": (vacuum, x, "add", np.array([2.0, 0.0]), 64),
+    }
 
 
 def cmd_oracle_check(args) -> int:
-    cutoffs = {"vacuum-add": 48, "squeezed-subtract": 64,
-               "two-mode-random": 64, "displaced-add": 64}
-    cutoff = args.cutoff or cutoffs[args.preset]
-    v, op, state, xi = _preset_case(args.preset, cutoff)
+    v, g, kind, xi, cutoff = _oracle_presets()[args.preset]
+    cutoff = args.cutoff or cutoff
+    op = photon_ops.PhotonOpSpec(kind, g)
+    displaced = bool(np.any(xi))
+    state = fock.gaussian_fock_state(v, cutoff)
+    if displaced:
+        state = fock.displace_state(state, xi)
     op_state, _ = fock.apply_photon_op(state, op)
+    # gaussian_fock_state has refused a mixed v; do not solve for its spectrum again
+    w = photon_ops.displaced_poly_wigner(v, xi, op, allow_mixed_base=True)
 
     _, points = _plane_grid(4.0, 21, op.mode)
-
-    if xi is None:
-        analytic = photon_ops.nongaussian_wigner(v, op)(points)
-    else:
-        analytic = photon_ops.displaced_wigner(v, xi, op, points)
-    wigner_dev = float(np.max(np.abs(fock.fock_wigner(op_state, points) - analytic)))
-
-    if xi is None:
-        a = photon_ops.covariance_correction(v, op)
+    wigner_dev = float(np.max(np.abs(fock.fock_wigner(op_state, points) - w(points))))
+    ref_mean, ref_cov = photon_ops.poly_wigner_moments(w)
+    out_cov, out_mean = fock.fock_covariance(op_state)
+    cov_dev = float(max(np.max(np.abs(out_cov - ref_cov)),
+                        np.max(np.abs(out_mean - ref_mean))))
+    cum_dev = 0.0  # the closed-form cumulants hold for undisplaced states
+    if not displaced:
         fs4 = [op.mode] * 4
-        cum_dev = abs(
-            fock.fock_truncated_correlation(op_state, fs4)
-            - photon_ops.truncated_correlation(a, fs4)
-        )
-        cov_dev = float(
-            np.max(np.abs(fock.fock_covariance(op_state)[0]
-                          - photon_ops.output_covariance(v, op)))
-        )
-    else:
-        cum_dev = 0.0
-        out_cov, out_mean = fock.fock_covariance(op_state)
-        ref_mean, ref_cov = photon_ops.poly_wigner_moments(
-            photon_ops.displaced_poly_wigner(v, xi, op)
-        )
-        cov_dev = max(
-            float(np.max(np.abs(out_cov - ref_cov))),
-            float(np.max(np.abs(out_mean - ref_mean))),
-        )
+        cum_dev = abs(fock.fock_truncated_correlation(op_state, fs4)
+                      - photon_ops.truncated_correlation(
+                          photon_ops.covariance_correction(v, op), fs4))
 
     print(f"preset = {args.preset} cutoff = {cutoff}")
     print(f"max wigner deviation = {wigner_dev:.3e} (tol {WIGNER_TOL:.0e})")
@@ -438,28 +401,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Error class, exit code and stderr prefix; the first matching row wins.
+_EXITS = (
+    (ParseError, EXIT_PARSE, "parse error"),
+    (SubtractionUndefinedError, EXIT_SUBTRACTION, "subtraction undefined"),
+    (CutoffError, EXIT_CUTOFF, "cutoff leakage"),
+    (MixedStateError, EXIT_MIXED_PURITY_SCAN, "mixed state"),
+    (CovarianceError, EXIT_INVALID_STATE, "invalid state"),
+    (SymplecticError, EXIT_INVALID_STATE, "invalid state"),
+    (np.linalg.LinAlgError, EXIT_INVALID_STATE, "invalid state"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _check_flags(args)
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SubtractionUndefinedError as exc:
-        print(f"subtraction undefined: {exc}", file=sys.stderr)
-        return EXIT_SUBTRACTION
-    except CutoffError as exc:
-        hint = (
-            f"; suggested cutoff {exc.suggested_cutoff}"
-            if exc.suggested_cutoff
-            else ""
-        )
-        print(f"cutoff leakage: {exc}{hint}", file=sys.stderr)
-        return EXIT_CUTOFF
-    except (CovarianceError, SymplecticError, np.linalg.LinAlgError) as exc:
-        print(f"invalid state: {exc}", file=sys.stderr)
-        return EXIT_INVALID_STATE
+    except tuple(cls for cls, _, _ in _EXITS) as exc:
+        code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
+        hint = getattr(exc, "suggested_cutoff", None)
+        hint = f"; suggested cutoff {hint}" if hint else ""
+        print(f"{prefix}: {exc}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ class CovarianceError(ValueError):
     """A covariance matrix is asymmetric, singular or unphysical."""
 
 
+class MixedStateError(CovarianceError):
+    """A computation defined for pure states was given a mixed one."""
+
+
 class SymplecticError(ValueError):
     """A matrix expected to preserve the symplectic form does not."""
 

@@ -105,9 +105,14 @@ def validate_covariance(v: np.ndarray) -> np.ndarray:
     return nu
 
 
+def is_pure_spectrum(nu: np.ndarray) -> bool:
+    """Whether every symplectic eigenvalue in ``nu`` lies within ``PURE_TOL`` of one."""
+    return bool(np.max(np.abs(nu - 1.0)) <= PURE_TOL)
+
+
 def is_pure(v: np.ndarray) -> bool:
-    """Whether every symplectic eigenvalue of ``v`` lies within ``PURE_TOL`` of one."""
-    return bool(np.max(np.abs(symplectic_eigenvalues(v) - 1.0)) <= PURE_TOL)
+    """:func:`is_pure_spectrum` of the symplectic spectrum of ``v``."""
+    return is_pure_spectrum(symplectic_eigenvalues(v))
 
 
 def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:

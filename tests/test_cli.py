@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wignerlab
-from wignerlab import cli
+from wignerlab import cli, gaussian
 from wignerlab.cli import main
 from wignerlab.covfile import load_covariance, save_covariance
 from wignerlab.errors import ParseError, SymplecticError
@@ -124,15 +124,38 @@ class TestValidate:
     def test_unphysical(self, tmp_path, capsys):
         bad = tmp_path / "unphys.json"
         save_covariance(bad, 0.5 * np.eye(2))
-        code, out, _ = run(capsys, "validate", bad)
+        code, out, err = run(capsys, "validate", bad)
         assert code == 2
-        assert "0.5" in out  # failing eigenvalue printed
+        assert out == ""
+        assert err.startswith("invalid state:") and "0.5" in err  # failing eigenvalue
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         code, _, err = run(capsys, "validate", bad)
         assert code == 3
+
+
+class TestOneSpectrum:
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "pure4"], 0),
+        (["validate", "mixed16"], 0),
+        (["purity-scan", "--state", "pure4", "--op", "subtract", "--samples", "3"], 0),
+        (["purity-scan", "--state", "mixed16", "--op", "add", "--samples", "3"], 5),
+        (["oracle-check", "--preset", "two-mode-random"], 0),
+    ])
+    def test_one_symplectic_eigenproblem(self, states, capsys, monkeypatch, argv, code):
+        # the spectrum read at validation decides purity and the purity value
+        calls = []
+        solve = gaussian._spectral_pair
+
+        def counted(v):
+            calls.append(v)
+            return solve(v)
+
+        monkeypatch.setattr(gaussian, "_spectral_pair", counted)
+        assert run(capsys, *[states.get(a, a) for a in argv])[0] == code
+        assert len(calls) == 1
 
 
 COMMANDS_ON_STATE = {
@@ -341,6 +364,12 @@ BAD_FLAGS = [
     ("wigner-grid", "--seed", "-1"),
     ("wigner-grid", "--range", "1.01e100"),
     ("wigner-grid", "--range", "1e308"),
+    # beyond cli.MAX_ROWS: refused before anything is allocated
+    ("witness-scan", "--samples", str(cli.MAX_ROWS + 1)),
+    ("witness-scan", "--samples", "99999999999999999999999999999"),
+    ("purity-scan", "--samples", str(cli.MAX_ROWS + 1)),
+    ("wigner-grid", "--grid", "4097"),
+    ("wigner-grid", "--grid", "99999999999999999999"),
 ]
 
 
@@ -564,12 +593,13 @@ class TestPurityScan:
         assert "subtraction undefined" in err
 
     def test_mixed_rejected_exit5(self, states, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "purity-scan", "--state", states["mixed16"], "--op", "subtract",
             "--samples", "2",
         )
         assert code == 5
-        assert "purify" in out
+        assert out == ""
+        assert err.startswith("mixed state:") and "purify" in err
 
     def test_subtract_vs_add(self, states, tmp_path, capsys):
         # subtraction typically gives lower reduced purity than addition on
@@ -637,19 +667,13 @@ class TestPurify:
 
 
 class TestOracleCheck:
-    @pytest.mark.parametrize("preset", ["vacuum-add", "squeezed-subtract"])
+    @pytest.mark.parametrize("preset", cli.ORACLE_PRESETS)
     def test_presets_pass(self, preset, capsys):
         code, out, _ = run(capsys, "oracle-check", "--preset", preset)
         assert code == 0
         assert "PASS" in out
-
-    def test_two_mode_preset(self, capsys):
-        code, out, _ = run(capsys, "oracle-check", "--preset", "two-mode-random")
-        assert code == 0
-
-    def test_displaced_preset(self, capsys):
-        code, out, _ = run(capsys, "oracle-check", "--preset", "displaced-add")
-        assert code == 0
+        for quantity in ("wigner", "cumulant", "covariance"):
+            assert f"max {quantity} deviation = " in out
 
     def test_low_cutoff_exit6(self, capsys):
         code, _, err = run(

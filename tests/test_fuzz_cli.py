@@ -3,8 +3,9 @@
 Derandomized ``hypothesis`` runs of ``validate``, ``wigner-grid``,
 ``witness-scan``, ``purity-scan`` and ``purify`` on generated state files and
 flag lists.  Every run must return a documented exit code without raising
-(a warning included), print at most one line on stderr and, when it fails,
-leave no ``--out`` file behind.  Where the input settles the outcome (a usage
+(a warning included); a successful run prints nothing on stderr, and a failed
+one prints nothing on stdout, exactly one line on stderr and leaves no
+``--out`` file behind.  Where the input settles the outcome (a usage
 error, a malformed file, an entry beyond the gate) the code itself is pinned.
 """
 
@@ -157,6 +158,15 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _check_streams(argv, code, stdout, stderr):
+    assert code in DOCUMENTED
+    assert "Traceback" not in stdout + stderr
+    if code == 0:
+        assert stderr == "", (argv, stderr)
+    else:
+        assert stdout == "" and len(stderr.splitlines()) == 1, (argv, stdout, stderr)
+
+
 def _check_run(doc, outcome, command, flags, out, bad_flags):
     with tempfile.TemporaryDirectory() as tmp:
         state = os.path.join(tmp, "state.json")
@@ -172,9 +182,7 @@ def _check_run(doc, outcome, command, flags, out, bad_flags):
 
         code, stdout, stderr = _run(argv)
 
-        assert code in DOCUMENTED
-        assert "Traceback" not in stdout + stderr
-        assert len(stderr.splitlines()) <= 1
+        _check_streams(argv, code, stdout, stderr)
         if bad_flags or outcome == "malformed":
             assert code == 3, (argv, stderr)
         elif outcome == "beyond":
@@ -231,8 +239,6 @@ def test_free_flag_lists(command, groups):
 
         code, stdout, stderr = _run(argv)
 
-        assert code in DOCUMENTED
-        assert "Traceback" not in stdout + stderr
-        assert len(stderr.splitlines()) <= 1
+        _check_streams(argv, code, stdout, stderr)
         if code != 0:
             assert os.listdir(tmp) == ["state.json"]
