@@ -33,10 +33,11 @@ from .errors import (
 )
 from .gaussian import (
     BlochMessiah,
-    Williamson,
+    GaussianState,
     bloch_messiah,
     db_to_scale,
     gaussian_purity,
+    gaussian_state,
     gaussian_wigner,
     random_mixed_cov,
     random_orthogonal_symplectic,

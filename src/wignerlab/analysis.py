@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import CovarianceError, DimensionError, MixedStateError
 from .errors import SubtractionUndefinedError
-from .gaussian import _check_symmetric, gaussian_wigner, is_pure
+# unused _check_symmetric: perfbench/selftest.py asserts the tracer rebinds it here
+from .gaussian import _check_symmetric, gaussian_state, gaussian_wigner, is_pure
 from .phase_space import as_mode, mode_plane, random_mode
 from .photon_ops import (
     PhotonOpSpec,
@@ -78,20 +79,17 @@ class PurityReport:
     mu0: float
 
 
-def negativity_witness(v: np.ndarray, op: PhotonOpSpec) -> WitnessReport:
+def negativity_witness(v, op: PhotonOpSpec) -> WitnessReport:
     """Decide Wigner negativity from ``(g, V^-1 g) + (Jg, V^-1 Jg)``.
 
     One row of :func:`plane_scan`.
     """
     row = plane_scan(v, op.kind, [op.mode])
-    return WitnessReport(
-        value=float(row.witness[0]),
-        threshold=WITNESS_THRESHOLD[op.kind],
-        negative=bool(row.negative[0]),
-    )
+    return WitnessReport(value=float(row.witness[0]), threshold=WITNESS_THRESHOLD[op.kind],
+                         negative=bool(row.negative[0]))
 
 
-def wigner_at_origin(v: np.ndarray, op: PhotonOpSpec) -> float:
+def wigner_at_origin(v, op: PhotonOpSpec) -> float:
     """Wigner value at the phase-space origin, where the bracket is minimal.
 
     :func:`nongaussian_wigner` evaluated at 0; its sign agrees with
@@ -215,7 +213,7 @@ def wigner_purity(w: PolyGaussianWigner) -> float:
     return float(val / np.sqrt(det))
 
 
-def reduced_purities(v: np.ndarray, op: PhotonOpSpec) -> PurityReport:
+def reduced_purities(v, op: PhotonOpSpec) -> PurityReport:
     """Purity of mode ``g`` after the photon operation and before it.
 
     One row of :func:`plane_scan`.
@@ -247,7 +245,7 @@ class PurityScan:
         return float(np.mean(self.mu < self.mu0 - PURITY_TIE_TOL))
 
 
-def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
+def plane_scan(v, kind: str, modes: np.ndarray) -> PurityScan:
     """Witness, purities and mean photon number for a batch of modes at once.
 
     With ``G = [g, Jg]``, ``R = G^T V G`` and ``L = G^T V^-1 G`` the witness
@@ -261,21 +259,21 @@ def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
 
     to which the formula of :func:`wigner_purity` applies.
     """
-    v = _check_symmetric(v)
+    state = gaussian_state(v)
     if kind not in WITNESS_THRESHOLD:
         raise ValueError(f"kind must be 'add' or 'subtract', got {kind!r}")
     modes = np.array([as_mode(g) for g in modes])
-    if modes.ndim != 2 or modes.shape[1] != v.shape[0]:
+    if modes.ndim != 2 or modes.shape[1] != state.v.shape[0]:
         raise DimensionError("modes must be an (n, 2m) array matching the state")
     s = 1.0 if kind == "add" else -1.0
 
     plane = mode_plane(modes)  # shape (n, 2m, 2)
     plane_t = plane.transpose(0, 2, 1)  # G^T
-    r = plane_t @ (v @ plane)
+    r = plane_t @ (state.v @ plane)
     tr_r = r[:, 0, 0] + r[:, 1, 1]
     nbar = (tr_r - 2.0) / 4.0
     require_photons(kind, nbar)
-    lam = plane_t @ (np.linalg.inv(v) @ plane)
+    lam = plane_t @ (state.inv @ plane)
     witness = lam[:, 0, 0] + lam[:, 1, 1]
 
     det_r = np.linalg.det(r)
@@ -300,7 +298,7 @@ def plane_scan(v: np.ndarray, kind: str, modes: np.ndarray) -> PurityScan:
 
 
 def sample_scan_mode(
-    v: np.ndarray, kind: str, master_seed, index: int
+    v, kind: str, master_seed, index: int
 ) -> tuple[np.ndarray, int]:
     """Mode for scan sample ``index``: deterministic counter substream.
 
@@ -311,12 +309,12 @@ def sample_scan_mode(
         SubtractionUndefinedError: after ``SCAN_MAX_RESAMPLES`` rejected draws
             (the state has essentially no photons in any mode).
     """
-    m = v.shape[0] // 2
+    state = gaussian_state(v)
     rng = np.random.default_rng([master_seed, index])
     resampled = 0
     while True:
-        g = random_mode(m, rng)
-        if kind != "subtract" or mean_photon_number(v, g) >= SCAN_PHOTON_TOL:
+        g = random_mode(state.v.shape[0] // 2, rng)
+        if kind != "subtract" or mean_photon_number(state, g) >= SCAN_PHOTON_TOL:
             return g, resampled
         resampled += 1
         if resampled > SCAN_MAX_RESAMPLES:
@@ -326,18 +324,19 @@ def sample_scan_mode(
 
 
 def draw_scan_modes(
-    v: np.ndarray, kind: str, n_samples: int, seed
+    v, kind: str, n_samples: int, seed
 ) -> tuple[np.ndarray, int]:
     """Modes of samples ``0 .. n_samples - 1`` and their total resample count."""
-    modes = np.empty((n_samples, v.shape[0]))
+    state = gaussian_state(v)
+    modes = np.empty((n_samples, state.v.shape[0]))
     total_resampled = 0
     for i in range(n_samples):
-        modes[i], resampled = sample_scan_mode(v, kind, seed, i)
+        modes[i], resampled = sample_scan_mode(state, kind, seed, i)
         total_resampled += resampled
     return modes, total_resampled
 
 
-def purity_scan(v: np.ndarray, kind: str, n_samples: int, seed) -> PurityScan:
+def purity_scan(v, kind: str, n_samples: int, seed) -> PurityScan:
     """Purities (mu0, mu) for ``n_samples`` random choices of the mode.
 
     The state must be pure: the comparison of reduced purities is an
@@ -345,13 +344,14 @@ def purity_scan(v: np.ndarray, kind: str, n_samples: int, seed) -> PurityScan:
     noise.  Deterministic per seed; each sample uses the substream
     ``[seed, index]``.
     """
-    if not is_pure(v):
+    state = gaussian_state(v)
+    if not is_pure(state):
         raise MixedStateError("purity scan requires a pure state")
-    modes, resampled = draw_scan_modes(v, kind, n_samples, seed)
-    return replace(plane_scan(v, kind, modes), n_resampled=resampled)
+    modes, resampled = draw_scan_modes(state, kind, n_samples, seed)
+    return replace(plane_scan(state, kind, modes), n_resampled=resampled)
 
 
-def passive_separability_witness(v: np.ndarray, g: np.ndarray) -> bool:
+def passive_separability_witness(v, g: np.ndarray) -> bool:
     """Whether a photon op in mode ``g`` keeps a pure state passively separable.
 
     True iff the (g, Jg) plane is an invariant subspace of ``V``, i.e.
@@ -363,9 +363,9 @@ def passive_separability_witness(v: np.ndarray, g: np.ndarray) -> bool:
     transformation.  Mixed states are rejected: their classification needs
     convex decompositions beyond this criterion.
     """
-    v = _check_symmetric(v)
-    if not is_pure(v):
+    state = gaussian_state(v)
+    if not is_pure(state):
         raise CovarianceError("passive separability witness supports pure states only")
     plane = mode_plane(as_mode(g))
-    vg = v @ plane
+    vg = state.v @ plane
     return float(np.linalg.norm(vg - plane @ (plane.T @ vg))) < SEPARABILITY_TOL

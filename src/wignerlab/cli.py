@@ -54,10 +54,10 @@ from .errors import (
 from .gaussian import (
     MAX_ENTRY,
     bloch_messiah,
-    is_pure_spectrum,
+    gaussian_state,
+    is_pure,
     random_pure_squeezed_cov,
     validate_covariance,
-    williamson,
 )
 from .phase_space import NORM_FLOOR, apply_j, as_mode, random_mode
 
@@ -100,31 +100,33 @@ def _check_flags(args) -> None:
         )
 
 
-def _resolve_mode(spec: str, v: np.ndarray, seed) -> np.ndarray:
+def _resolve_mode(spec: str, state, seed) -> np.ndarray:
+    m = state.v.shape[0] // 2
     if spec == "random":
-        return random_mode(v.shape[0] // 2, [seed, 0xA11CE])
+        return random_mode(m, [seed, 0xA11CE])
     if spec.startswith("supermode:"):
         try:
             index = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"cannot parse mode spec {spec!r}") from exc
-        if not 0 <= index < v.shape[0] // 2:
+        if not 0 <= index < m:
             raise ParseError(f"supermode index {index} out of range")
-        return bloch_messiah(williamson(v).s).supermode(index)
+        return bloch_messiah(state.s).supermode(index)
     try:
         coords = np.array([float(tok) for tok in spec.split(",")], dtype=float)
     except ValueError as exc:
         raise ParseError(f"cannot parse mode spec {spec!r}: {exc}") from exc
     norm = float(np.linalg.norm(coords))
-    if coords.size != v.shape[0] or not NORM_FLOOR <= norm < math.inf:  # NaN too
+    if coords.size != 2 * m or not NORM_FLOOR <= norm < math.inf:  # NaN too
         raise ParseError(f"mode spec {spec!r} does not name a mode of this state")
     return as_mode(coords / norm)
 
 
 def _load_validated(path):
-    """The state file at ``path`` and its symplectic spectrum, descending."""
+    """The state file at ``path`` and its one validated :class:`GaussianState`."""
     cov = load_covariance(path)
-    return cov, validate_covariance(cov.matrix)
+    validate_covariance(state := gaussian_state(cov.matrix))
+    return cov, state
 
 
 def _require_zero_mean(cov) -> None:
@@ -183,21 +185,21 @@ def _plane_grid(extent: float, n: int, h: np.ndarray):
 
 
 def cmd_validate(args) -> int:
-    _, nu = _load_validated(args.state)
-    nus = ", ".join(f"{x:.12g}" for x in nu)
-    print(f"nu = {nus}; {'pure' if is_pure_spectrum(nu) else 'mixed'}")
-    print(f"purity = {np.prod(1.0 / nu):.12g}")  # (det V)^-1/2
+    _, state = _load_validated(args.state)
+    nus = ", ".join(f"{x:.12g}" for x in state.nu)
+    print(f"nu = {nus}; {'pure' if is_pure(state) else 'mixed'}")
+    print(f"purity = {np.prod(1.0 / state.nu):.12g}")  # (det V)^-1/2
     return EXIT_OK
 
 
 def cmd_wigner_grid(args) -> int:
-    cov, _ = _load_validated(args.state)
+    cov, state = _load_validated(args.state)
     _require_zero_mean(cov)
-    g = _resolve_mode(args.mode, cov.matrix, args.seed)
-    plane = g if args.plane is None else _resolve_mode(args.plane, cov.matrix, args.seed)
+    g = _resolve_mode(args.mode, state, args.seed)
+    plane = g if args.plane is None else _resolve_mode(args.plane, state, args.seed)
     op = photon_ops.PhotonOpSpec(args.op, g)
-    w = photon_ops.nongaussian_wigner(cov.matrix, op)
-    witness = analysis.negativity_witness(cov.matrix, op)
+    w = photon_ops.nongaussian_wigner(state, op)
+    witness = analysis.negativity_witness(state, op)
 
     flat, points = _plane_grid(args.range, args.grid, plane)
     values = w(points)
@@ -215,10 +217,10 @@ def cmd_wigner_grid(args) -> int:
 
 
 def cmd_witness_scan(args) -> int:
-    cov, _ = _load_validated(args.state)
+    cov, state = _load_validated(args.state)
     _require_zero_mean(cov)
-    modes, _ = analysis.draw_scan_modes(cov.matrix, args.op, args.samples, args.seed)
-    scan = analysis.plane_scan(cov.matrix, args.op, modes)
+    modes, _ = analysis.draw_scan_modes(state, args.op, args.samples, args.seed)
+    scan = analysis.plane_scan(state, args.op, modes)
     _write_scan(args, modes, {
         "witness": scan.witness, "negative": scan.negative,
         "mu0": scan.mu0, "mu": scan.mu, "mean_photon": scan.nbar,
@@ -228,19 +230,18 @@ def cmd_witness_scan(args) -> int:
 
 
 def cmd_purity_scan(args) -> int:
-    cov, nu = _load_validated(args.state)
+    cov, state = _load_validated(args.state)
     _require_zero_mean(cov)
-    if not is_pure_spectrum(nu):
+    if not is_pure(state):
         raise MixedStateError(
             "purity scan requires a pure state; run `wignerlab purify` first "
-            f"(symplectic eigenvalues up to {nu[0]:.6g})"
+            f"(symplectic eigenvalues up to {state.nu[0]:.6g})"
         )
-    v = cov.matrix
     if args.mode is None:
-        modes, resampled = analysis.draw_scan_modes(v, args.op, args.samples, args.seed)
+        modes, resampled = analysis.draw_scan_modes(state, args.op, args.samples, args.seed)
     else:
-        modes, resampled = _resolve_mode(args.mode, v, args.seed)[None, :], 0
-    scan = analysis.plane_scan(v, args.op, modes)
+        modes, resampled = _resolve_mode(args.mode, state, args.seed)[None, :], 0
+    scan = analysis.plane_scan(state, args.op, modes)
     _write_scan(args, modes, {"mu0": scan.mu0, "mu": scan.mu},
                 f" mode={args.mode or 'random'}")
     print(f"fraction mu<mu0 = {_fmt(scan.fraction_lowered)}")
@@ -251,22 +252,13 @@ def cmd_purity_scan(args) -> int:
 
 
 def cmd_purify(args) -> int:
-    cov, _ = _load_validated(args.state)
-    v_pure, v_noise = photon_ops.decompose_pure_noise(cov.matrix)
+    cov, state = _load_validated(args.state)
+    v_pure, v_noise = photon_ops.decompose_pure_noise(state)
     noise_norm = float(np.linalg.norm(v_noise))
-    pure_norm = float(np.linalg.norm(v_pure))
-    if noise_norm < NORM_FLOOR:
-        ratio_txt = "pure"
-    else:
-        ratio_txt = _fmt(pure_norm / noise_norm)
-    metadata = dict(cov.metadata)
-    metadata.update(
-        {
-            "purified-from": str(args.state),
-            "discarded-noise-hs-norm": float(noise_norm),
-            "pure-to-noise-hs-ratio": ratio_txt,
-        }
-    )
+    ratio_txt = ("pure" if noise_norm < NORM_FLOOR
+                 else _fmt(float(np.linalg.norm(v_pure)) / noise_norm))
+    metadata = {**cov.metadata, "purified-from": str(args.state),
+                "discarded-noise-hs-norm": noise_norm, "pure-to-noise-hs-ratio": ratio_txt}
     save_covariance(args.out, v_pure, mean=cov.mean, metadata=metadata)
     print(f"pure part written to {args.out}")
     print(f"pure/noise Hilbert-Schmidt ratio = {ratio_txt}")

@@ -63,8 +63,8 @@ from .errors import (
     DimensionError,
     SubtractionUndefinedError,
 )
-from .gaussian import (SYMPLECTIC_TOL, bloch_messiah, is_pure_spectrum,
-                       symplectic_to_unitary, williamson)
+from .gaussian import (SYMPLECTIC_TOL, bloch_messiah, is_pure, symplectic_to_unitary,
+                       williamson)
 from .phase_space import NORM_FLOOR, as_mode, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
 
@@ -371,7 +371,7 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
     if m > MAX_MODES:
         raise DimensionError(f"oracle supports at most {MAX_MODES} modes")
     wl = williamson(v)
-    if not is_pure_spectrum(wl.nu):
+    if not is_pure(wl):
         raise ValueError("oracle states must be pure (unit symplectic spectrum)")
     bm = bloch_messiah(wl.s)
     rs = np.log(bm.squeezing)

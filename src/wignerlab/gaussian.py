@@ -4,10 +4,17 @@ A state of ``m`` modes is a real symmetric ``2m x 2m`` matrix ``V`` in xxpp
 ordering with the vacuum equal to the identity, plus an optional mean vector.
 Physicality means every symplectic eigenvalue is at least one.
 
+Every reader of a covariance, here and in :mod:`.photon_ops` and
+:mod:`.analysis`, takes an array or a :class:`GaussianState`.
+:func:`gaussian_state` is the one entry gate (entries finite and at most
+``MAX_ENTRY``, symmetry within ``SYMMETRY_TOL``) and passes a state through
+unchanged; the state computes ``V^-1``, ``log det V`` and the Williamson
+normal form once each, on first use, for all the readers it is handed to.
+
 The two workhorse factorisations live here as well:
 
 * Williamson: ``V = S diag(nu, nu) S^T`` with ``S`` symplectic, separating a
-  pure squeezed part from thermal noise;
+  pure squeezed part from thermal noise (the state's ``s`` and ``nu``);
 * Bloch-Messiah: ``S = O1 K O2`` with ``O1, O2`` orthogonal symplectic
   (passive optics) and ``K = diag(k, 1/k)`` the squeezers.  The column pairs
   of ``O1`` are the supermodes of ``V = S S^T``.
@@ -20,6 +27,7 @@ invariant under that choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,35 +69,72 @@ def _as_even_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def _check_symmetric(v: np.ndarray) -> np.ndarray:
     v = _as_even_square(v, "covariance matrix")
+    if not np.all(np.abs(v) <= MAX_ENTRY):  # NaN too
+        raise np.linalg.LinAlgError(f"covariance entry NaN or beyond {MAX_ENTRY:.0e}")
     gap = float(np.max(np.abs(v - v.T)))
     if gap > SYMMETRY_TOL:
         raise CovarianceError(f"covariance matrix asymmetric by {gap:.3e}")
     return 0.5 * (v + v.T)
 
 
-def _spectral_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gate, symmetrise and root ``v``: ``V^1/2`` and the Hermitian
-    ``H = i (A - A^T) / 2``, ``A = V^-1/2 J V^-1/2``, with eigenvalues ``+-1/nu``.
-    An entry that is NaN, infinite or beyond ``MAX_ENTRY`` raises ``LinAlgError``."""
-    if not np.all(np.abs(v) <= MAX_ENTRY):  # NaN too
-        raise np.linalg.LinAlgError(f"covariance entry NaN or beyond {MAX_ENTRY:.0e}")
-    v = _check_symmetric(v)
-    w, u = np.linalg.eigh(v)
-    if w[0] <= max(w[-1], 1.0) * SINGULAR_TOL:
-        raise CovarianceError(f"near-singular covariance: min eigenvalue {w[0]:.3e}")
-    sq = np.sqrt(w)
-    inv_sqrt_v = (u / sq) @ u.T
-    anti = inv_sqrt_v @ symplectic_form(v.shape[0] // 2) @ inv_sqrt_v
-    return (u * sq) @ u.T, 0.5j * (anti - anti.T)
+@dataclass(frozen=True, eq=False)
+class GaussianState:
+    """A symmetrised covariance past the entry gate (:func:`gaussian_state`)
+    with ``inv = V^-1``, ``logdet = log det V`` and the Williamson form
+    ``V = S diag(nu, nu) S^T``, each computed on first use and then kept."""
+
+    v: np.ndarray
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        return np.linalg.inv(self.v)
+
+    @cached_property
+    def logdet(self) -> float:
+        sign, logdet = np.linalg.slogdet(self.v)
+        if sign <= 0:
+            raise CovarianceError("covariance matrix not positive definite")
+        return logdet
+
+    @cached_property
+    def _normal_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, nu)`` from the one eigenproblem of ``H = i (A - A^T) / 2``,
+        ``A = V^-1/2 J V^-1/2``, with eigenvalues ``+-1/nu``.  Its eigenvectors
+        ``w`` for ``+1/nu`` satisfy ``w^T w = 0`` (``conj(w)`` belongs to
+        ``-1/nu``), so ``sqrt(2) (Re w, Im w)`` is an orthonormal J-paired basis
+        even inside degenerate eigenspaces; ``S`` is ``V^1/2`` times it, scaled."""
+        m = self.v.shape[0] // 2
+        w, u = np.linalg.eigh(self.v)
+        if w[0] <= max(w[-1], 1.0) * SINGULAR_TOL:
+            raise CovarianceError(f"near-singular covariance: min eigenvalue {w[0]:.3e}")
+        sq = np.sqrt(w)
+        inv_sqrt_v = (u / sq) @ u.T
+        anti = inv_sqrt_v @ symplectic_form(m) @ inv_sqrt_v
+        lam, h_vecs = np.linalg.eigh(0.5j * (anti - anti.T))
+        nu = 1.0 / lam[m:]  # lam ascends, so nu descends
+        k = np.sqrt(2.0) * np.concatenate([h_vecs[:, m:].real, h_vecs[:, m:].imag], axis=1)
+        return (u * sq) @ u.T @ k / np.sqrt(np.concatenate([nu, nu])), nu
+
+    s = property(lambda self: self._normal_form[0])
+    nu = property(lambda self: self._normal_form[1])  # m values, descending
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.s * np.concatenate([self.nu, self.nu])) @ self.s.T
 
 
-def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
+def gaussian_state(v) -> GaussianState:
+    """The one entry gate of a covariance, :func:`_check_symmetric` (an even
+    square matrix; ``LinAlgError`` for an entry NaN or beyond ``MAX_ENTRY``;
+    symmetric within ``SYMMETRY_TOL``).  A state passes through as it is."""
+    return v if isinstance(v, GaussianState) else GaussianState(_check_symmetric(v))
+
+
+def symplectic_eigenvalues(v) -> np.ndarray:
     """The ``m`` doubled eigenvalues of ``i J V`` once each, descending."""
-    _, h = _spectral_pair(v)
-    return 1.0 / np.linalg.eigvalsh(h)[h.shape[0] // 2:]  # lam ascends
+    return gaussian_state(v).nu
 
 
-def validate_covariance(v: np.ndarray) -> np.ndarray:
+def validate_covariance(v) -> np.ndarray:
     """Check physicality and return the symplectic spectrum, descending.
 
     Raises:
@@ -105,17 +150,12 @@ def validate_covariance(v: np.ndarray) -> np.ndarray:
     return nu
 
 
-def is_pure_spectrum(nu: np.ndarray) -> bool:
-    """Whether every symplectic eigenvalue in ``nu`` lies within ``PURE_TOL`` of one."""
-    return bool(np.max(np.abs(nu - 1.0)) <= PURE_TOL)
+def is_pure(v) -> bool:
+    """Whether every symplectic eigenvalue lies within ``PURE_TOL`` of one."""
+    return bool(np.max(np.abs(symplectic_eigenvalues(v) - 1.0)) <= PURE_TOL)
 
 
-def is_pure(v: np.ndarray) -> bool:
-    """:func:`is_pure_spectrum` of the symplectic spectrum of ``v``."""
-    return is_pure_spectrum(symplectic_eigenvalues(v))
-
-
-def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:
+def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     """Wigner function of a Gaussian state, evaluated at ``beta``.
 
     ``W(b) = (2 pi)^-m (det V)^-1/2 exp(-(b-mu, V^-1 (b-mu)) / 2)``.
@@ -123,8 +163,8 @@ def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:
     ``beta`` may carry leading batch axes.  Returns a scalar for a single
     point.
     """
-    v = _check_symmetric(v)
-    m = v.shape[0] // 2
+    state = gaussian_state(v)
+    m = state.v.shape[0] // 2
     beta = np.asarray(beta, dtype=float)
     if beta.shape[-1] != 2 * m:
         raise DimensionError(
@@ -132,63 +172,32 @@ def gaussian_wigner(v: np.ndarray, beta: np.ndarray, mean=None) -> np.ndarray:
         )
     if mean is not None and np.any(mean):  # a zero mean would copy the points
         beta = beta - np.asarray(mean, dtype=float)
-    sign, logdet = np.linalg.slogdet(v)
-    if sign <= 0:
-        raise CovarianceError("covariance matrix not positive definite")
-    quad = np.einsum("...i,ij,...j->...", beta, np.linalg.inv(v), beta)
+    logdet = state.logdet  # a singular V raises here, before the inverse
+    quad = np.einsum("...i,ij,...j->...", beta, state.inv, beta)
     val = np.exp(-0.5 * quad - 0.5 * logdet - m * np.log(2.0 * np.pi))
     return val if val.ndim else float(val)
 
 
-def gaussian_purity(v: np.ndarray) -> float:
+def gaussian_purity(v) -> float:
     """Purity of a Gaussian state: ``(det V)^-1/2``."""
-    v = _check_symmetric(v)
-    sign, logdet = np.linalg.slogdet(v)
-    if sign <= 0:
-        raise CovarianceError("covariance matrix not positive definite")
-    return float(np.exp(-0.5 * logdet))
+    return float(np.exp(-0.5 * gaussian_state(v).logdet))
 
 
-def reduce_to_mode(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+def reduce_to_mode(v, g: np.ndarray) -> np.ndarray:
     """Covariance of one mode: the 2x2 block ``G^T V G``, ``G = [g, Jg]``."""
-    v = _check_symmetric(v)
-    g = as_mode(g)
+    v, g = gaussian_state(v).v, as_mode(g)
     if g.size != v.shape[0]:
         raise DimensionError("mode vector and covariance dimensions differ")
     plane = mode_plane(g)
     return plane.T @ (v @ plane)
 
 
-@dataclass(frozen=True)
-class Williamson:
-    """Normal form ``V = S diag(nu, nu) S^T`` with ``S`` symplectic."""
-
-    s: np.ndarray
-    nu: np.ndarray  # m symplectic eigenvalues, descending
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(np.concatenate([self.nu, self.nu]))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.s @ self.diagonal @ self.s.T
-
-
-def williamson(v: np.ndarray) -> Williamson:
-    """Williamson decomposition of a symmetric positive-definite matrix.
-
-    The eigenvectors ``w`` of :func:`_spectral_pair`'s ``H`` for ``+1/nu``
-    satisfy ``w^T w = 0`` (``conj(w)`` belongs to ``-1/nu``), so
-    ``sqrt(2) (Re w, Im w)`` is an orthonormal J-paired basis even inside
-    degenerate eigenspaces; scaling it gives ``S``.
-    """
-    sqrt_v, h = _spectral_pair(v)
-    m = h.shape[0] // 2
-    lam, w = np.linalg.eigh(h)
-    nu = 1.0 / lam[m:]  # lam ascends, so nu descends
-    k = np.sqrt(2.0) * np.concatenate([w[:, m:].real, w[:, m:].imag], axis=1)
-    s = sqrt_v @ k / np.sqrt(np.concatenate([nu, nu]))
-    return Williamson(s=s, nu=nu)
+def williamson(v) -> GaussianState:
+    """Williamson form ``V = S diag(nu, nu) S^T``: the state of ``v`` with its
+    ``s`` and ``nu`` solved here, so that a near-singular ``V`` raises at the call."""
+    state = gaussian_state(v)
+    _ = state.nu
+    return state
 
 
 @dataclass(frozen=True)
@@ -205,15 +214,12 @@ class BlochMessiah:
     squeezing: np.ndarray  # k values >= 1, descending
     passive_in: np.ndarray  # O2
 
-    @property
-    def squeezer(self) -> np.ndarray:
-        return np.diag(np.concatenate([self.squeezing, 1.0 / self.squeezing]))
-
     def supermode(self, i: int) -> np.ndarray:
         return np.array(self.passive_out[:, i])
 
     def reconstruct(self) -> np.ndarray:
-        return self.passive_out @ self.squeezer @ self.passive_in
+        k = np.concatenate([self.squeezing, 1.0 / self.squeezing])
+        return (self.passive_out * k) @ self.passive_in
 
 
 def bloch_messiah(s: np.ndarray) -> BlochMessiah:

@@ -63,7 +63,7 @@ from .errors import (
     SubtractionUndefinedError,
 )
 from .gaussian import (
-    _check_symmetric,
+    gaussian_state,
     gaussian_wigner,
     is_pure,
     validate_covariance,
@@ -116,10 +116,9 @@ def subtract(g) -> PhotonOpSpec:
     return PhotonOpSpec("subtract", g)
 
 
-def mean_photon_number(v: np.ndarray, g: np.ndarray) -> float:
+def mean_photon_number(v, g: np.ndarray) -> float:
     """Mean photon number of mode ``g``: ``tr((V - 1) P) / 4``."""
-    v = _check_symmetric(v)
-    g = as_mode(g)
+    v, g = gaussian_state(v).v, as_mode(g)
     jg = apply_j(g)
     return float((g @ v @ g + jg @ v @ jg - 2.0) / 4.0)
 
@@ -134,7 +133,7 @@ def require_photons(kind: str, nbar) -> None:
         )
 
 
-def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
+def covariance_correction(v, op: PhotonOpSpec) -> np.ndarray:
     """The additive second-moment correction of the photon operation.
 
     Returns the symmetric positive-semidefinite rank-<=2 matrix
@@ -145,7 +144,7 @@ def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
         SubtractionUndefinedError: subtracting from a mode with zero mean
             photon number (the normalisation would vanish).
     """
-    v = _check_symmetric(v)
+    v = gaussian_state(v).v
     if op.mode.size != v.shape[0]:
         raise DimensionError("operation mode and covariance dimensions differ")
     plane = mode_plane(op.mode)
@@ -155,12 +154,13 @@ def covariance_correction(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
     return 2.0 * (x @ x.T) / den
 
 
-def output_covariance(v: np.ndarray, op: PhotonOpSpec) -> np.ndarray:
+def output_covariance(v, op: PhotonOpSpec) -> np.ndarray:
     """Covariance of the photon-added/subtracted state: ``V + A``.
 
     Validated for physicality before returning.
     """
-    out = _check_symmetric(v) + covariance_correction(v, op)
+    state = gaussian_state(v)
+    out = state.v + covariance_correction(state, op)
     validate_covariance(out)
     return out
 
@@ -172,10 +172,9 @@ def two_point_correlation(v, op: PhotonOpSpec, f1, f2) -> complex:
     Gaussian part, the commutator part fixed by the canonical commutation
     relations, and the photon-operation correction.
     """
-    f1 = as_mode(f1)
-    f2 = as_mode(f2)
-    a = covariance_correction(v, op)
-    return complex(f1 @ v @ f2 + f1 @ a @ f2) - 1j * float(f1 @ apply_j(f2))
+    state, f1, f2 = gaussian_state(v), as_mode(f1), as_mode(f2)
+    a = covariance_correction(state, op)
+    return complex(f1 @ state.v @ f2 + f1 @ a @ f2) - 1j * float(f1 @ apply_j(f2))
 
 
 def truncated_correlation(a: np.ndarray, modes) -> float:
@@ -224,8 +223,8 @@ def characteristic_function(v, op: PhotonOpSpec, alpha) -> np.ndarray:
     Real for the zero-mean states handled here; ``alpha`` may be batched on
     leading axes.
     """
-    v = _check_symmetric(v)
-    a = covariance_correction(v, op)
+    state = gaussian_state(v)
+    v, a = state.v, covariance_correction(state, op)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-1] != v.shape[0]:
         raise DimensionError("alpha dimension does not match the state")
@@ -335,7 +334,7 @@ def poly_wigner_moments(w: PolyGaussianWigner) -> tuple[np.ndarray, np.ndarray]:
     return mean, second - np.outer(mean, mean)
 
 
-def nongaussian_wigner(v: np.ndarray, op: PhotonOpSpec) -> PolyGaussianWigner:
+def nongaussian_wigner(v, op: PhotonOpSpec) -> PolyGaussianWigner:
     """Wigner function of the photon-added or -subtracted Gaussian state.
 
     ``W(b) = 1/2 [ (b, V^-1 A V^-1 b) - tr(V^-1 A) + 2 ] W0(b)`` with ``W0``
@@ -346,7 +345,7 @@ def nongaussian_wigner(v: np.ndarray, op: PhotonOpSpec) -> PolyGaussianWigner:
     return displaced_poly_wigner(v, np.zeros(op.mode.size), op, allow_mixed_base=True)
 
 
-def decompose_pure_noise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decompose_pure_noise(v) -> tuple[np.ndarray, np.ndarray]:
     """Split ``V = V_pure + V_noise`` along the Williamson normal form.
 
     ``V_pure = S S^T`` is a pure squeezed covariance (det 1) and
@@ -377,7 +376,7 @@ def _noise_spectrum(v_noise: np.ndarray):
 
 
 def displaced_poly_wigner(
-    v_base: np.ndarray,
+    v_base,
     xi: np.ndarray,
     op: PhotonOpSpec,
     allow_mixed_base: bool = False,
@@ -402,9 +401,10 @@ def displaced_poly_wigner(
         SubtractionUndefinedError: if the normalisation trace vanishes
             (subtracting from an undisplaced vacuum mode).
     """
-    v = _check_symmetric(v_base)
-    if not (allow_mixed_base or is_pure(v)):
+    state = gaussian_state(v_base)
+    if not (allow_mixed_base or is_pure(state)):
         raise CovarianceError("pure base covariance required")
+    v = state.v
     dim = v.shape[0]
     if op.mode.size != dim:
         raise DimensionError("operation mode and covariance dimensions differ")
@@ -456,8 +456,8 @@ def displacement_density(
     deterministic, and any ``xi`` leaving the range has density zero).  The
     range is the one :func:`mixture_reconstruction` samples.
     """
-    v_pure = _check_symmetric(v_pure)
-    v_noise = _check_symmetric(v_noise)
+    v_pure = gaussian_state(v_pure).v
+    v_noise = gaussian_state(v_noise).v
     s = float(op.sign)
     plane = mode_plane(op.mode)
     xi = np.asarray(xi, dtype=float)
@@ -497,7 +497,7 @@ class MixtureEstimate:
 
 
 def mixture_reconstruction(
-    v: np.ndarray, op: PhotonOpSpec, beta, n_samples: int, seed
+    v, op: PhotonOpSpec, beta, n_samples: int, seed
 ) -> MixtureEstimate:
     """Monte-Carlo reconstruction of the Wigner function from the mixture.
 
@@ -515,23 +515,24 @@ def mixture_reconstruction(
     or a batch.  For a pure input the mixture is a single point and the exact
     value is returned with zero standard error.
     """
-    v = _check_symmetric(v)
-    dim = v.shape[0]
+    state = gaussian_state(v)
+    dim = state.v.shape[0]
     beta = np.asarray(beta, dtype=float)
     squeeze = beta.ndim == 1
     pts = np.atleast_2d(beta)
     if pts.shape[-1] != dim:
         raise DimensionError("point dimension does not match the state")
 
-    v_pure, v_noise = decompose_pure_noise(v)
+    v_pure, v_noise = decompose_pure_noise(state)
+    pure = gaussian_state(v_pure)  # one inverse for every point
     w, u, pos = _noise_spectrum(v_noise)
     if not pos.any():
-        values = displaced_wigner(v_pure, np.zeros(dim), op, pts)
+        values = displaced_wigner(pure, np.zeros(dim), op, pts)
         errors = np.zeros(len(pts))
     else:
         s = float(op.sign)
         plane = mode_plane(op.mode)
-        den = float(np.trace(plane.T @ v @ plane)) + 2.0 * s
+        den = float(np.trace(plane.T @ state.v @ plane)) + 2.0 * s
         require_photons(op.kind, den / 4.0)
         z = np.random.default_rng(seed).standard_normal((n_samples, int(pos.sum())))
         xis = (z * np.sqrt(w[pos])) @ u[:, pos].T
@@ -541,7 +542,7 @@ def mixture_reconstruction(
         for i, (pt, kb) in enumerate(zip(pts, pts @ k.T)):
             r = kb - e
             bracket = (r * r).sum(axis=1) - c0
-            samples = gaussian_wigner(v_pure, pt - xis) * bracket / den
+            samples = gaussian_wigner(pure, pt - xis) * bracket / den
             values[i] = samples.mean()
             errors[i] = samples.std(ddof=1) / np.sqrt(n_samples)
     if squeeze:

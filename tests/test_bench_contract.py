@@ -70,11 +70,15 @@ def test_scan_rows_equal_library_calls(seed, index, tmp_path):
             assert float(row["witness"]) == negativity_witness(inp["v"], op).value
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_first_op_bytes_survive_tracing(name, tmp_path):
+@pytest.mark.parametrize("name, seed", [
+    *(pytest.param(name, 1, id=name) for name in sorted(workloads.WORKLOADS)),
+    *(pytest.param(name, seed, id=f"{name}-seed{seed}")
+      for name in ("scan", "session") for seed in (2, 3)),
+])
+def test_first_op_bytes_survive_tracing(name, seed, tmp_path):
     # the harness marks a run incorrect when op 0 or the traced outputs
     # differ from an untraced run of the same input
-    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+    workload = workloads.WORKLOADS[name](seed, str(tmp_path))
     inp = workload.make_input(0)
     parts = [workload.run(inp).parts]
     trace = tracer.Tracer()

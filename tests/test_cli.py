@@ -143,17 +143,26 @@ class TestOneSpectrum:
         (["purity-scan", "--state", "pure4", "--op", "subtract", "--samples", "3"], 0),
         (["purity-scan", "--state", "mixed16", "--op", "add", "--samples", "3"], 5),
         (["oracle-check", "--preset", "two-mode-random"], 0),
+        (["purify", "--state", "mixed16", "--out", "out.json"], 0),
+        (["wigner-grid", "--state", "mixed16", "--op", "add", "--mode", "supermode:0",
+          "--grid", "3"], 0),
+        (["purity-scan", "--state", "pure4", "--op", "add", "--mode", "supermode:0"], 0),
+        (["witness-scan", "--state", "mixed16", "--op", "subtract", "--samples", "3"], 0),
     ])
-    def test_one_symplectic_eigenproblem(self, states, capsys, monkeypatch, argv, code):
-        # the spectrum read at validation decides purity and the purity value
+    def test_one_symplectic_eigenproblem(self, states, tmp_path, capsys, monkeypatch,
+                                         argv, code):
+        # the normal form solved at validation serves every later reader of the
+        # state file: purity, the purity value, supermodes and the pure part
         calls = []
-        solve = gaussian._spectral_pair
+        normal_form = gaussian.GaussianState.__dict__["_normal_form"]
+        solve = normal_form.func
 
-        def counted(v):
-            calls.append(v)
-            return solve(v)
+        def counted(state):
+            calls.append(state)
+            return solve(state)
 
-        monkeypatch.setattr(gaussian, "_spectral_pair", counted)
+        monkeypatch.setattr(normal_form, "func", counted)
+        states["out.json"] = tmp_path / "out.json"
         assert run(capsys, *[states.get(a, a) for a in argv])[0] == code
         assert len(calls) == 1
 

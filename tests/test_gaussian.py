@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import grid2d, integrate2d
+from wignerlab.analysis import plane_scan
 from wignerlab.errors import CovarianceError, SymplecticError
 from wignerlab.gaussian import (
     MAX_ENTRY,
+    GaussianState,
     bloch_messiah,
     db_to_scale,
     gaussian_purity,
+    gaussian_state,
     gaussian_wigner,
     is_pure,
     random_mixed_cov,
@@ -20,7 +24,15 @@ from wignerlab.gaussian import (
     validate_covariance,
     williamson,
 )
-from wignerlab.photon_ops import decompose_pure_noise
+from wignerlab.photon_ops import (
+    add,
+    covariance_correction,
+    decompose_pure_noise,
+    mean_photon_number,
+    mixture_reconstruction,
+    nongaussian_wigner,
+    subtract,
+)
 from wignerlab.phase_space import (
     basis_change_matrix,
     complete_symplectic_basis,
@@ -53,11 +65,25 @@ class TestValidate:
 
 
 class TestSpectralGate:
-    """One eigenproblem behind one entry gate: every reader of the symplectic
-    spectrum rejects entries that are not finite or beyond ``MAX_ENTRY``."""
+    """One entry gate: every reader of a covariance rejects entries that are
+    not finite or beyond ``MAX_ENTRY``."""
 
-    READERS = [symplectic_eigenvalues, validate_covariance, is_pure, williamson,
-               decompose_pure_noise]
+    X = np.array([1.0, 0.0])
+    READERS = {
+        "symplectic_eigenvalues": symplectic_eigenvalues,
+        "validate_covariance": validate_covariance,
+        "is_pure": is_pure,
+        "williamson": williamson,
+        "decompose_pure_noise": decompose_pure_noise,
+        "gaussian_wigner": lambda v: gaussian_wigner(v, np.zeros(2)),
+        "gaussian_purity": gaussian_purity,
+        "reduce_to_mode": lambda v: reduce_to_mode(v, TestSpectralGate.X),
+        "mean_photon_number": lambda v: mean_photon_number(v, TestSpectralGate.X),
+        "covariance_correction": lambda v: covariance_correction(v, add(TestSpectralGate.X)),
+        "plane_scan": lambda v: plane_scan(v, "add", [TestSpectralGate.X]),
+        "nongaussian_wigner": lambda v: nongaussian_wigner(v, add(TestSpectralGate.X))(
+            np.zeros(2)),
+    }
     BEYOND = {
         "full-1e308": np.full((2, 2), 1e308),
         "diag-1e200": np.diag([1e200, 1e200]),
@@ -67,12 +93,12 @@ class TestSpectralGate:
         "neg-inf-off-diagonal": np.array([[1.0, -np.inf], [-np.inf, 1.0]]),
     }
 
-    @pytest.mark.parametrize("reader", READERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("reader", READERS)
     @pytest.mark.parametrize("name", sorted(BEYOND))
     def test_rejected_before_arithmetic(self, reader, name):
         # warnings are errors in this suite, so an overflow first would fail here
         with pytest.raises(np.linalg.LinAlgError, match="beyond"):
-            reader(self.BEYOND[name])
+            self.READERS[reader](self.BEYOND[name])
 
     def test_bound_itself_accepted(self):
         v = np.diag([MAX_ENTRY, MAX_ENTRY])
@@ -90,6 +116,44 @@ class TestSpectralGate:
         nu = symplectic_eigenvalues(v)
         assert np.allclose(nu, ref, rtol=1e-10, atol=0.0)
         assert np.allclose(williamson(v).nu, nu, rtol=1e-12, atol=0.0)
+
+
+class TestGaussianState:
+    """A state and its array give the same bytes from every reader, and a
+    state handed on is the same state, computed once."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(m=st.integers(1, 16), pure=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["add", "subtract"]))
+    def test_state_reads_like_its_array(self, m, pure, seed, kind):
+        rng = np.random.default_rng(seed)
+        if pure:
+            v = random_pure_squeezed_cov(m, rng.uniform(-6.0, 6.0, m), rng)
+        else:
+            v = random_mixed_cov(m, rng)
+        g = random_mode(m, rng)
+        op = (add if kind == "add" else subtract)(g)
+        pts = rng.standard_normal((3, 2 * m))
+        modes = [random_mode(m, rng) for _ in range(4)]
+
+        def read(x):
+            scan = plane_scan(x, "add", modes)
+            est = mixture_reconstruction(x, op, pts, 20, seed)
+            return [gaussian_wigner(x, pts), mean_photon_number(x, g),
+                    covariance_correction(x, op), nongaussian_wigner(x, op)(pts),
+                    scan.witness, scan.mu0, scan.mu, scan.nbar,
+                    *decompose_pure_noise(x), est.values, est.std_errors]
+
+        state = gaussian_state(v)
+        for a, b in zip(read(v), read(state)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        inv = state.inv
+        read(state)
+        assert gaussian_state(state) is state and state.inv is inv
+
+    def test_williamson_returns_the_state(self):
+        state = gaussian_state(random_mixed_cov(3, 4))
+        assert isinstance(state, GaussianState) and williamson(state) is state
 
 
 class TestGaussianWigner:
