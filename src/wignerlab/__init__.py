@@ -66,7 +66,6 @@ from .photon_ops import (
     covariance_correction,
     decompose_pure_noise,
     displaced_poly_wigner,
-    displaced_wigner,
     displacement_density,
     evaluate_wigner,
     mean_photon_number,

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CovarianceError, DimensionError, MixedStateError
 from .errors import SubtractionUndefinedError
 # unused _check_symmetric: perfbench/selftest.py asserts the tracer rebinds it here
-from .gaussian import _check_symmetric, gaussian_state, gaussian_wigner, is_pure
+from .gaussian import _check_symmetric, gaussian_state, gaussian_wigner, is_pure, state_mode
 from .phase_space import as_mode, mode_plane, random_mode
 from .photon_ops import (
     PhotonOpSpec,
@@ -107,13 +107,18 @@ def wigner_minimum(
     Negativity is settled by the witness at the origin; this inspects where
     and how deep the negative region is.  Multi-start BFGS on the closed-form
     gradient, deterministic per seed, started first at the base mean.
+
+    Raises:
+        ValueError: for ``n_starts < 1``.
     """
-    sym_quad, cov_inv = w.quad + w.quad.T, np.linalg.inv(w.cov)
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    sym_quad = w.quad + w.quad.T
 
     def value_grad(b):
         val = float(evaluate_wigner(w, b))
-        gauss = float(gaussian_wigner(w.cov, b, mean=w.mean))
-        return val, (sym_quad @ b + w.lin) * gauss - val * (cov_inv @ (b - w.mean))
+        gauss = float(gaussian_wigner(w.state, b, mean=w.mean))
+        return val, (sym_quad @ b + w.lin) * gauss - val * (w.state.inv @ (b - w.mean))
 
     rng, scale = np.random.default_rng(seed), np.sqrt(np.max(np.linalg.eigvalsh(w.cov)))
     eye, best = np.eye(w.dim), (np.inf, None)
@@ -155,13 +160,11 @@ def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:
     ``const -> const + lin.d + d.M d + tr(M S)``, on the base Gaussian
     ``N(u; G^T mean, R)``.
     """
-    g = as_mode(g)
-    if g.size != w.dim:
-        raise DimensionError("mode vector dimension does not match the state")
-    plane = mode_plane(g)
+    plane = mode_plane(state_mode(g, w.dim))
     vg = w.cov @ plane
     r = plane.T @ vg
-    k = vg @ np.linalg.inv(r)
+    reduced = gaussian_state(0.5 * (r + r.T))  # rounding may skew r past SYMMETRY_TOL
+    k = vg @ reduced.inv
     d = w.mean - k @ (plane.T @ w.mean)
     cond_cov = w.cov - k @ vg.T
     md = w.quad @ d
@@ -176,7 +179,7 @@ def marginal_wigner(w: PolyGaussianWigner, g: np.ndarray) -> PolyGaussianWigner:
         quad=0.5 * (quad + quad.T),
         lin=k.T @ (w.lin + 2.0 * md),
         const=const,
-        cov=0.5 * (r + r.T),
+        cov=reduced,
         mean=plane.T @ w.mean,
     )
 
@@ -207,10 +210,7 @@ def wigner_purity(w: PolyGaussianWigner) -> float:
         + float(b_c @ half @ b_c)
         + c_c**2
     )
-    det = float(np.linalg.det(w.cov))
-    if det <= 0:
-        raise CovarianceError("reduced covariance not positive definite")
-    return float(val / np.sqrt(det))
+    return float(val * np.exp(-0.5 * w.state.logdet))
 
 
 def reduced_purities(v, op: PhotonOpSpec) -> PurityReport:
@@ -366,6 +366,6 @@ def passive_separability_witness(v, g: np.ndarray) -> bool:
     state = gaussian_state(v)
     if not is_pure(state):
         raise CovarianceError("passive separability witness supports pure states only")
-    plane = mode_plane(as_mode(g))
+    plane = mode_plane(state_mode(g, len(state.v)))
     vg = state.v @ plane
     return float(np.linalg.norm(vg - plane @ (plane.T @ vg))) < SEPARABILITY_TOL

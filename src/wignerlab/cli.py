@@ -294,8 +294,7 @@ def cmd_oracle_check(args) -> int:
     if displaced:
         state = fock.displace_state(state, xi)
     op_state, _ = fock.apply_photon_op(state, op)
-    # gaussian_fock_state has refused a mixed v; do not solve for its spectrum again
-    w = photon_ops.displaced_poly_wigner(v, xi, op, allow_mixed_base=True)
+    w = photon_ops.displaced_poly_wigner(v, xi, op)
 
     _, points = _plane_grid(4.0, 21, op.mode)
     wigner_dev = float(np.max(np.abs(fock.fock_wigner(op_state, points) - w(points))))

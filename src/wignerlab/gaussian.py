@@ -155,6 +155,15 @@ def is_pure(v) -> bool:
     return bool(np.max(np.abs(symplectic_eigenvalues(v) - 1.0)) <= PURE_TOL)
 
 
+def state_mode(g, dim: int) -> np.ndarray:
+    """:func:`as_mode` of ``g``, a mode of a state of ``dim = 2m`` quadratures;
+    the one mode-length check of every reader."""
+    g = as_mode(g)
+    if g.size != dim:
+        raise DimensionError(f"mode length {g.size} does not match 2m = {dim}")
+    return g
+
+
 def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     """Wigner function of a Gaussian state, evaluated at ``beta``.
 
@@ -166,12 +175,12 @@ def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     state = gaussian_state(v)
     m = state.v.shape[0] // 2
     beta = np.asarray(beta, dtype=float)
-    if beta.shape[-1] != 2 * m:
-        raise DimensionError(
-            f"point dimension {beta.shape[-1]} does not match 2m = {2 * m}"
-        )
-    if mean is not None and np.any(mean):  # a zero mean would copy the points
-        beta = beta - np.asarray(mean, dtype=float)
+    mean = np.zeros(2 * m) if mean is None else np.asarray(mean, dtype=float)
+    if beta.shape[-1] != 2 * m or mean.shape != (2 * m,):
+        raise DimensionError(f"point dimension {beta.shape[-1]} or mean shape "
+                             f"{mean.shape} does not match 2m = {2 * m}")
+    if np.any(mean):  # a zero mean would copy the points
+        beta = beta - mean
     logdet = state.logdet  # a singular V raises here, before the inverse
     quad = np.einsum("...i,ij,...j->...", beta, state.inv, beta)
     val = np.exp(-0.5 * quad - 0.5 * logdet - m * np.log(2.0 * np.pi))
@@ -185,10 +194,8 @@ def gaussian_purity(v) -> float:
 
 def reduce_to_mode(v, g: np.ndarray) -> np.ndarray:
     """Covariance of one mode: the 2x2 block ``G^T V G``, ``G = [g, Jg]``."""
-    v, g = gaussian_state(v).v, as_mode(g)
-    if g.size != v.shape[0]:
-        raise DimensionError("mode vector and covariance dimensions differ")
-    plane = mode_plane(g)
+    v = gaussian_state(v).v
+    plane = mode_plane(state_mode(g, len(v)))
     return plane.T @ (v @ plane)
 
 

@@ -17,8 +17,9 @@ and everything else in this module is a closed-form consequence of ``A``:
   largest eigenvalue ``w_1`` of ``A`` leaves the ``z_i`` as a factor
   ``w_1^k``, so that equal eigenvalues keep them exact,
 * the characteristic function,
-* the Wigner function, the original Gaussian times one squared-norm bracket;
-  for the state displaced by ``xi`` before the operation it reads
+* the Wigner function of any base state, pure or mixed: the original Gaussian
+  times one squared-norm bracket; for the state displaced by ``xi`` before
+  the operation it reads
 
       W(b) = W_0(b - xi) [|K b - e|^2 - c0] / (tr(G^T V G) + |G^T xi|^2 + 2s),
       K = G^T (1 + s V^-1),   e = s G^T V^-1 xi,   c0 = tr(G^T V^-1 G) + 2s,
@@ -52,20 +53,16 @@ beyond the series radius, where it is negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    CovarianceError,
-    DimensionError,
-    SubtractionUndefinedError,
-)
+from .errors import CapacityError, DimensionError, SubtractionUndefinedError
 from .gaussian import (
+    GaussianState,
     gaussian_state,
     gaussian_wigner,
-    is_pure,
+    state_mode,
     validate_covariance,
     williamson,
 )
@@ -118,7 +115,8 @@ def subtract(g) -> PhotonOpSpec:
 
 def mean_photon_number(v, g: np.ndarray) -> float:
     """Mean photon number of mode ``g``: ``tr((V - 1) P) / 4``."""
-    v, g = gaussian_state(v).v, as_mode(g)
+    v = gaussian_state(v).v
+    g = state_mode(g, len(v))
     jg = apply_j(g)
     return float((g @ v @ g + jg @ v @ jg - 2.0) / 4.0)
 
@@ -145,9 +143,7 @@ def covariance_correction(v, op: PhotonOpSpec) -> np.ndarray:
             photon number (the normalisation would vanish).
     """
     v = gaussian_state(v).v
-    if op.mode.size != v.shape[0]:
-        raise DimensionError("operation mode and covariance dimensions differ")
-    plane = mode_plane(op.mode)
+    plane = mode_plane(state_mode(op.mode, len(v)))
     x = v @ plane + op.sign * plane
     den = float(np.trace(plane.T @ x))
     require_photons(op.kind, den / 4.0)
@@ -172,7 +168,8 @@ def two_point_correlation(v, op: PhotonOpSpec, f1, f2) -> complex:
     Gaussian part, the commutator part fixed by the canonical commutation
     relations, and the photon-operation correction.
     """
-    state, f1, f2 = gaussian_state(v), as_mode(f1), as_mode(f2)
+    state = gaussian_state(v)
+    f1, f2 = (state_mode(f, len(state.v)) for f in (f1, f2))
     a = covariance_correction(state, op)
     return complex(f1 @ state.v @ f2 + f1 @ a @ f2) - 1j * float(f1 @ apply_j(f2))
 
@@ -192,7 +189,7 @@ def truncated_correlation(a: np.ndarray, modes) -> float:
             available through the closed-form characteristic function.
     """
     a = np.asarray(a, dtype=float)
-    fs = [as_mode(f) for f in modes]
+    fs = [state_mode(f, len(a)) for f in modes]
     n = len(fs)
     if n < 3:
         raise ValueError("truncated correlations are defined here for n >= 3")
@@ -239,9 +236,12 @@ class PolyGaussianWigner:
     """Wigner function of the form ``(b.M b + lin.b + const) N(b; mean, cov)``.
 
     ``N`` is the normalised Gaussian with the stored covariance and mean.
-    The class is closed under marginalisation to a mode plane and represents
-    both the photon-added/subtracted Wigner function and its displaced
-    variants exactly.
+    ``cov`` takes an array or a :class:`GaussianState`; the object keeps that
+    state as ``state``, past the entry gate at construction, so that every
+    evaluation shares one ``V^-1`` and ``log det V``, and ``cov`` reads back
+    its symmetrised matrix.  The class is closed under marginalisation to a
+    mode plane and represents both the photon-added/subtracted Wigner function
+    and its displaced variants exactly.
     """
 
     quad: np.ndarray
@@ -249,6 +249,11 @@ class PolyGaussianWigner:
     const: float
     cov: np.ndarray
     mean: np.ndarray
+    state: GaussianState = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "state", gaussian_state(self.cov))
+        object.__setattr__(self, "cov", self.state.v)
 
     @property
     def dim(self) -> int:
@@ -279,7 +284,7 @@ class PolyGaussianWigner:
             quad=self.quad,
             lin=self.lin - 2.0 * self.quad @ xi,
             const=self.const - float(self.lin @ xi) + float(xi @ self.quad @ xi),
-            cov=self.cov,
+            cov=self.state,
             mean=self.mean + xi,
         )
 
@@ -299,7 +304,7 @@ def evaluate_wigner(w: PolyGaussianWigner, beta) -> np.ndarray:
         )
     quad = np.einsum("...i,ij,...j->...", beta, w.quad, beta)
     lin = beta @ w.lin
-    gauss = gaussian_wigner(w.cov, beta, mean=w.mean)
+    gauss = gaussian_wigner(w.state, beta, mean=w.mean)
     val = (quad + lin + w.const) * gauss
     return val if val.ndim else float(val)
 
@@ -342,7 +347,7 @@ def nongaussian_wigner(v, op: PhotonOpSpec) -> PolyGaussianWigner:
     semidefinite, so the bracket is smallest at the origin.  Built as the
     undisplaced case of :func:`displaced_poly_wigner`, for any covariance.
     """
-    return displaced_poly_wigner(v, np.zeros(op.mode.size), op, allow_mixed_base=True)
+    return displaced_poly_wigner(v, np.zeros(op.mode.size), op)
 
 
 def decompose_pure_noise(v) -> tuple[np.ndarray, np.ndarray]:
@@ -375,12 +380,7 @@ def _noise_spectrum(v_noise: np.ndarray):
     return w, u, w > max(w[-1], 1.0) * _NOISE_RANK_TOL
 
 
-def displaced_poly_wigner(
-    v_base,
-    xi: np.ndarray,
-    op: PhotonOpSpec,
-    allow_mixed_base: bool = False,
-) -> PolyGaussianWigner:
+def displaced_poly_wigner(v_base, xi: np.ndarray, op: PhotonOpSpec) -> PolyGaussianWigner:
     """Wigner function of a photon op on a displaced Gaussian state.
 
     The state is displaced by ``xi`` before the photon is added to or
@@ -393,26 +393,20 @@ def displaced_poly_wigner(
 
     expanded as ``quad = K^T K / d``, ``lin = -2 K^T e / d``, ``const =
     (|e|^2 - c0) / d``; :func:`nongaussian_wigner` is the case ``xi = 0``.
-    The base covariance must be pure unless ``allow_mixed_base`` is set; the
-    formula itself is valid for any covariance, but only the pure case
-    carries the convex-decomposition semantics used elsewhere in the package.
+    The formula holds for any base covariance, pure or mixed; on a pure base
+    it is one term of the convex mixture of :func:`mixture_reconstruction`.
 
     Raises:
         SubtractionUndefinedError: if the normalisation trace vanishes
             (subtracting from an undisplaced vacuum mode).
     """
     state = gaussian_state(v_base)
-    if not (allow_mixed_base or is_pure(state)):
-        raise CovarianceError("pure base covariance required")
     v = state.v
-    dim = v.shape[0]
-    if op.mode.size != dim:
-        raise DimensionError("operation mode and covariance dimensions differ")
+    plane = mode_plane(state_mode(op.mode, len(v)))
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (dim,):
+    if xi.shape != (len(v),):
         raise DimensionError("displacement dimension does not match the state")
     s = float(op.sign)
-    plane = mode_plane(op.mode)
     xi_g = xi @ plane
     den = float(np.trace(plane.T @ v @ plane) + xi_g @ xi_g) + 2.0 * s
     require_photons(op.kind, den / 4.0)
@@ -421,24 +415,12 @@ def displaced_poly_wigner(
     e = xi @ e_map
     return PolyGaussianWigner(
         quad=k.T @ k / den, lin=-2.0 * (e @ k) / den,
-        const=(float(e @ e) - c0) / den, cov=v, mean=np.array(xi),
-    )
-
-
-def displaced_wigner(v_base, xi, op: PhotonOpSpec, beta,
-                     allow_mixed_base: bool = False) -> np.ndarray:
-    """Evaluate :func:`displaced_poly_wigner` at ``beta`` (batched)."""
-    return evaluate_wigner(
-        displaced_poly_wigner(v_base, xi, op, allow_mixed_base=allow_mixed_base), beta
+        const=(float(e @ e) - c0) / den, cov=state, mean=np.array(xi),
     )
 
 
 def displacement_density(
-    v_pure: np.ndarray,
-    v_noise: np.ndarray,
-    xi: np.ndarray,
-    op: PhotonOpSpec,
-    restrict_to_range: bool = False,
+    v_pure: np.ndarray, v_noise: np.ndarray, xi: np.ndarray, op: PhotonOpSpec
 ) -> np.ndarray:
     """Classical probability density of displacements in the convex mixture.
 
@@ -451,25 +433,22 @@ def displacement_density(
     with ``G = [g, Jg]``, which is nonnegative and integrates to one.  ``xi``
     may be batched on leading axes.
 
-    ``V_noise`` must be positive definite; with ``restrict_to_range`` the
-    density is taken on the range of ``V_noise`` instead (null directions are
-    deterministic, and any ``xi`` leaving the range has density zero).  The
-    range is the one :func:`mixture_reconstruction` samples.
+    The density lives on the range of ``V_noise``, the one
+    :func:`mixture_reconstruction` samples: its null directions (eigenvalues
+    at most ``_NOISE_RANK_TOL`` of the largest) are deterministic, and any
+    ``xi`` leaving the range has density zero.
     """
     v_pure = gaussian_state(v_pure).v
     v_noise = gaussian_state(v_noise).v
     s = float(op.sign)
-    plane = mode_plane(op.mode)
+    plane = mode_plane(state_mode(op.mode, len(v_pure)))
     xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (len(v_pure),) or v_noise.shape != v_pure.shape:
+        raise DimensionError("displacement or noise dimension does not match the pure part")
     squeeze = xi.ndim == 1
     xi2 = np.atleast_2d(xi)
 
     w, u, pos = _noise_spectrum(v_noise)
-    if not pos.all() and not restrict_to_range:
-        raise CovarianceError(
-            "noise covariance is singular; pass restrict_to_range=True to "
-            "evaluate the density on its range"
-        )
     rank = int(pos.sum())
     coords = xi2 @ u  # components along the eigenbasis
     in_range = np.max(np.abs(coords[:, ~pos]), axis=1, initial=0.0) <= _RANGE_TOL
@@ -514,9 +493,15 @@ def mixture_reconstruction(
     ``xi`` at once.  Deterministic per seed; ``beta`` may be a single point
     or a batch.  For a pure input the mixture is a single point and the exact
     value is returned with zero standard error.
+
+    Raises:
+        ValueError: for ``n_samples < 2``, which leaves no standard error.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     state = gaussian_state(v)
     dim = state.v.shape[0]
+    plane = mode_plane(state_mode(op.mode, dim))
     beta = np.asarray(beta, dtype=float)
     squeeze = beta.ndim == 1
     pts = np.atleast_2d(beta)
@@ -527,11 +512,10 @@ def mixture_reconstruction(
     pure = gaussian_state(v_pure)  # one inverse for every point
     w, u, pos = _noise_spectrum(v_noise)
     if not pos.any():
-        values = displaced_wigner(pure, np.zeros(dim), op, pts)
+        values = nongaussian_wigner(pure, op)(pts)
         errors = np.zeros(len(pts))
     else:
         s = float(op.sign)
-        plane = mode_plane(op.mode)
         den = float(np.trace(plane.T @ state.v @ plane)) + 2.0 * s
         require_photons(op.kind, den / 4.0)
         z = np.random.default_rng(seed).standard_normal((n_samples, int(pos.sum())))

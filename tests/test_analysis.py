@@ -27,6 +27,7 @@ from wignerlab.errors import (
 from wignerlab.gaussian import (
     bloch_messiah,
     gaussian_purity,
+    gaussian_wigner,
     random_mixed_cov,
     random_pure_squeezed_cov,
     reduce_to_mode,
@@ -43,21 +44,51 @@ from wignerlab.photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
     add,
+    covariance_correction,
+    displaced_poly_wigner,
+    displacement_density,
     mean_photon_number,
+    mixture_reconstruction,
     nongaussian_wigner,
     subtract,
+    truncated_correlation,
+    two_point_correlation,
 )
 
 X1 = np.array([1.0, 0.0])
 TWO_PI = 2.0 * np.pi
 
 
-@pytest.mark.parametrize(
-    "fn", [nongaussian_wigner, wigner_at_origin, negativity_witness, reduced_purities]
-)
-def test_mode_dimension_mismatch_rejected(fn):
+V4, G4 = np.eye(4), random_mode(2, 0)
+
+#: Two-mode readers handed a one-mode vector, or the reverse.
+MISMATCHED = {
+    **{fn.__name__: lambda fn=fn: fn(V4, add(X1)) for fn in (
+        nongaussian_wigner, wigner_at_origin, negativity_witness, reduced_purities,
+        covariance_correction)},
+    "reduce_to_mode": lambda: reduce_to_mode(V4, X1),
+    "mean_photon_number": lambda: mean_photon_number(V4, X1),
+    "two_point_correlation-f1": lambda: two_point_correlation(V4, add(G4), X1, G4),
+    "two_point_correlation-f2": lambda: two_point_correlation(V4, add(G4), G4, X1),
+    "truncated_correlation": lambda: truncated_correlation(
+        covariance_correction(V4, add(G4)), [X1] * 4),
+    "passive_separability_witness": lambda: passive_separability_witness(V4, X1),
+    "displaced_poly_wigner": lambda: displaced_poly_wigner(V4, np.zeros(4), add(X1)),
+    "displacement_density-mode": lambda: displacement_density(V4, V4, np.zeros(4), add(X1)),
+    "displacement_density-xi": lambda: displacement_density(V4, V4, np.zeros(2), add(G4)),
+    "displacement_density-noise": lambda: displacement_density(
+        V4, np.eye(2), np.zeros(4), add(G4)),
+    "mixture_reconstruction": lambda: mixture_reconstruction(
+        2.0 * V4, add(X1), np.zeros(4), 10, 0),
+    "marginal_wigner": lambda: marginal_wigner(nongaussian_wigner(V4, add(G4)), X1),
+    "gaussian_wigner-mean": lambda: gaussian_wigner(V4, np.zeros(4), mean=np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_mode_dimension_mismatch_rejected(name):
     with pytest.raises(DimensionError):
-        fn(np.eye(4), add(X1))
+        MISMATCHED[name]()
 
 
 class TestNegativityWitness:
@@ -129,6 +160,20 @@ class TestWignerMinimum:
         op = add(g)
         val, _ = wigner_minimum(nongaussian_wigner(v, op), n_starts=6, seed=seed)
         assert val <= wigner_at_origin(v, op) + 1e-12
+
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_no_start_rejected(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            wigner_minimum(nongaussian_wigner(np.eye(2), add(X1)), n_starts=n_starts)
+
+    def test_one_inverse_per_call(self, monkeypatch):
+        # every BFGS value reads the object's one V^-1
+        v = random_mixed_cov(2, 31)
+        w = nongaussian_wigner(v, add(random_mode(2, 32)))
+        inv, sizes = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(a.shape) or inv(a))
+        wigner_minimum(w, n_starts=2)
+        assert sizes == [(4, 4)]
 
 
 class TestMarginalWigner:

@@ -472,6 +472,40 @@ class TestNumpyOnlyRuntime:
         assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+class TestImportTime:
+    def test_import_computes_nothing_and_loads_no_foreign_module(self):
+        # set-up cost: importing the package, the CLI and the Fock oracle runs
+        # no linear algebra, draws no random state and loads only numpy
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "calls = []\n"
+            "def counted(name, fn):\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls.append(name)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "for name in [n for n in dir(np.linalg) if not n.startswith('_')]:\n"
+            "    fn = getattr(np.linalg, name)\n"
+            "    if callable(fn) and not isinstance(fn, type):\n"
+            "        setattr(np.linalg, name, counted(name, fn))\n"
+            "np.random.default_rng = counted('default_rng', np.random.default_rng)\n"
+            "before = set(sys.modules)\n"
+            "import wignerlab, wignerlab.cli, wignerlab.fock\n"
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'wignerlab'}\n"
+            "foreign = sorted(m for m in set(sys.modules) - before\n"
+            "                 if m.split('.')[0] not in allowed)\n"
+            "print(calls, foreign)\n"
+        )
+        src = os.path.dirname(os.path.dirname(wignerlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] []"
+
+
 class TestWignerGrid:
     def test_vacuum_add_minimum(self, states, tmp_path, capsys):
         out_csv = tmp_path / "grid.csv"
@@ -515,6 +549,15 @@ class TestWignerGrid:
             "--mode", "supermode:0", "--grid", "5", "--range", "2",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("name, dim", [("pure4", 8), ("mixed16", 32)])
+    def test_one_inverse(self, states, capsys, monkeypatch, name, dim):
+        # the witness and every grid point read the state file's one V^-1
+        inv, sizes = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(a.shape) or inv(a))
+        assert run(capsys, "wigner-grid", "--state", states[name], "--op", "add",
+                   "--mode", "supermode:0", "--grid", "3")[0] == 0
+        assert sizes.count((dim, dim)) == 1
 
 
 class TestWitnessScan:

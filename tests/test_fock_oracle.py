@@ -44,7 +44,7 @@ from wignerlab.photon_ops import (
     add,
     characteristic_function,
     covariance_correction,
-    displaced_wigner,
+    displaced_poly_wigner,
     mean_photon_number,
     nongaussian_wigner,
     output_covariance,
@@ -261,7 +261,7 @@ class TestDisplacedStates:
         st, norm_sq = apply_photon_op(displace_state(vacuum_state(1, 64), xi), op)
         assert norm_sq == pytest.approx(2.0, abs=1e-10)  # <n> + 1 = 2
         _, pts = grid2d(4.0, 21)
-        dev = np.abs(fock_wigner(st, pts) - displaced_wigner(np.eye(2), xi, op, pts))
+        dev = np.abs(fock_wigner(st, pts) - displaced_poly_wigner(np.eye(2), xi, op)(pts))
         assert np.max(dev) < 1e-8
 
     def test_displaced_subtract_squeezed(self):
@@ -270,7 +270,7 @@ class TestDisplacedStates:
         op = subtract(random_mode(1, 3))
         st, _ = apply_photon_op(displace_state(gaussian_fock_state(v, 72), xi), op)
         _, pts = grid2d(4.0, 11)
-        dev = np.abs(fock_wigner(st, pts) - displaced_wigner(v, xi, op, pts))
+        dev = np.abs(fock_wigner(st, pts) - displaced_poly_wigner(v, xi, op)(pts))
         assert np.max(dev) < 1e-8
 
 

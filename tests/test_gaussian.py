@@ -25,6 +25,7 @@ from wignerlab.gaussian import (
     williamson,
 )
 from wignerlab.photon_ops import (
+    PolyGaussianWigner,
     add,
     covariance_correction,
     decompose_pure_noise,
@@ -83,6 +84,8 @@ class TestSpectralGate:
         "plane_scan": lambda v: plane_scan(v, "add", [TestSpectralGate.X]),
         "nongaussian_wigner": lambda v: nongaussian_wigner(v, add(TestSpectralGate.X))(
             np.zeros(2)),
+        "PolyGaussianWigner": lambda v: PolyGaussianWigner(
+            quad=np.zeros((2, 2)), lin=np.zeros(2), const=1.0, cov=v, mean=np.zeros(2)),
     }
     BEYOND = {
         "full-1e308": np.full((2, 2), 1e308),

@@ -11,10 +11,12 @@ from conftest import grid2d, integrate2d, plane_points, random_case
 from wignerlab.errors import (
     CapacityError,
     CovarianceError,
+    DimensionError,
     SubtractionUndefinedError,
 )
 from wignerlab.gaussian import (
     gaussian_purity,
+    gaussian_state,
     gaussian_wigner,
     random_mixed_cov,
     random_orthogonal_symplectic,
@@ -30,7 +32,6 @@ from wignerlab.photon_ops import (
     covariance_correction,
     decompose_pure_noise,
     displaced_poly_wigner,
-    displaced_wigner,
     displacement_density,
     evaluate_wigner,
     mean_photon_number,
@@ -294,6 +295,26 @@ class TestEvaluateWigner:
         pts = np.random.default_rng(0).normal(size=(5, 2))
         assert np.allclose(evaluate_wigner(w, pts), gaussian_wigner(np.eye(2), pts))
 
+    @pytest.mark.parametrize("cov, error", [
+        (np.diag([np.nan, 1.0]), np.linalg.LinAlgError),
+        (np.array([[1.0, 0.1], [0.0, 1.0]]), CovarianceError),
+        (np.eye(3)[:2], DimensionError),
+    ], ids=["nan", "asymmetric", "non-square"])
+    def test_bad_cov_rejected_at_construction(self, cov, error):
+        with pytest.raises(error):
+            PolyGaussianWigner(quad=np.zeros((2, 2)), lin=np.zeros(2), const=1.0,
+                               cov=cov, mean=np.zeros(2))
+
+    def test_keeps_its_state(self):
+        # an array is gated once and read back symmetrised; a state passes
+        # through, to the translations too
+        v = SQ + np.array([[0.0, 1e-12], [0.0, 0.0]])
+        w = nongaussian_wigner(v, add(X1))
+        assert np.array_equal(w.cov, 0.5 * (v + v.T)) and w.cov is w.state.v
+        state = gaussian_state(v)
+        w = nongaussian_wigner(state, add(X1))
+        assert w.state is state and w.translate(np.ones(2)).state is state
+
     def test_representation_contract(self):
         v, g = random_case(13, max_modes=2)
         op = add(g)
@@ -353,7 +374,8 @@ class TestDisplacedWigner:
         op = PhotonOpSpec(kind, g)
         w8 = nongaussian_wigner(v, op)
         pts = rng.normal(size=(5, 2 * m))
-        assert np.max(np.abs(displaced_wigner(v, np.zeros(2 * m), op, pts) - w8(pts))) < 1e-10
+        w = displaced_poly_wigner(v, np.zeros(2 * m), op)
+        assert np.max(np.abs(w(pts) - w8(pts))) < 1e-10
 
     def test_normalized(self):
         v = random_pure_squeezed_cov(1, [4.0], 8)
@@ -365,18 +387,17 @@ class TestDisplacedWigner:
 
     def test_subtraction_from_displaced_vacuum_defined(self):
         # zero photons at xi = 0, but the displacement puts photons in
-        val = displaced_wigner(np.eye(2), np.array([2.0, 0.0]), subtract(X1), np.zeros(2))
+        val = displaced_poly_wigner(np.eye(2), np.array([2.0, 0.0]), subtract(X1))(np.zeros(2))
         assert np.isfinite(val)
 
     def test_subtraction_at_origin_rejected(self):
         with pytest.raises(SubtractionUndefinedError):
             displaced_poly_wigner(np.eye(2), np.zeros(2), subtract(X1))
 
-    def test_mixed_base_needs_flag(self):
+    def test_mixed_base_accepted(self):
+        # the closed form holds for any base covariance, mixed ones included
         v = 2.0 * np.eye(2)
-        with pytest.raises(CovarianceError):
-            displaced_poly_wigner(v, np.zeros(2), subtract(X1))
-        w = displaced_poly_wigner(v, np.zeros(2), subtract(X1), allow_mixed_base=True)
+        w = displaced_poly_wigner(v, np.zeros(2), subtract(X1))
         ref = nongaussian_wigner(v, subtract(X1))
         pts = np.random.default_rng(5).normal(size=(6, 2))
         assert np.allclose(evaluate_wigner(w, pts), ref(pts), atol=1e-12)
@@ -412,18 +433,24 @@ class TestDisplacementDensity:
             float(expected)
         )
 
-    def test_singular_noise_needs_flag(self, pure_cov_2m):
+    def test_singular_noise_on_range(self, pure_cov_2m):
+        # a pure state has no noise: the range is the origin, which carries
+        # the trace ratio, one, and every other displacement has density zero
         v_pure, v_noise = decompose_pure_noise(pure_cov_2m)
-        with pytest.raises(CovarianceError):
-            displacement_density(v_pure, v_noise, np.zeros(4), add(random_mode(2, 1)))
-        val = displacement_density(
-            v_pure, v_noise, np.zeros(4), add(random_mode(2, 1)),
-            restrict_to_range=True,
-        )
-        assert np.isfinite(val)
+        op = add(random_mode(2, 1))
+        assert displacement_density(v_pure, v_noise, np.zeros(4), op) == pytest.approx(1.0)
+        assert displacement_density(v_pure, v_noise, np.full(4, 0.1), op) == 0.0
 
 
 class TestMixtureReconstruction:
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_too_few_samples_rejected(self, pure_cov_2m, mixed_cov_1m, pure, n_samples):
+        v = pure_cov_2m if pure else mixed_cov_1m
+        with pytest.raises(ValueError, match="n_samples"):
+            mixture_reconstruction(v, add(random_mode(len(v) // 2, 0)), np.zeros(len(v)),
+                                   n_samples, 0)
+
     def test_pure_state_exact(self, pure_cov_2m):
         g = random_mode(2, 15)
         op = subtract(g)
@@ -487,7 +514,7 @@ def mixture_from_constructor(v, op, pts, n_samples, seed, rank):
     total = np.zeros(len(pts))
     for xi in xis:
         den_xi = np.trace(p @ v_pure) + xi @ p @ xi + 2.0 * op.sign
-        total += den_xi / den * displaced_wigner(v_pure, xi, op, pts)
+        total += den_xi / den * displaced_poly_wigner(v_pure, xi, op)(pts)
     return total / n_samples
 
 
@@ -510,7 +537,7 @@ class TestPlaneForm:
         # near vacuum both forms lose digits roughly as 1 / n
         assume(kind == "add" or np.trace(p @ v) + xi @ p @ xi - 2.0 >= 4e-3)
         quad, lin, const = projector_form(v, xi, op)
-        w = displaced_poly_wigner(v, xi, op, allow_mixed_base=True)
+        w = displaced_poly_wigner(v, xi, op)
         assert np.max(np.abs(w.quad - quad)) <= 1e-12 * np.max(np.abs(quad))
         assert np.max(np.abs(w.lin - lin)) <= 1e-12 * np.max(np.abs(lin))
         assert abs(w.const - const) <= 1e-12 * abs(const)
@@ -536,11 +563,14 @@ class TestPlaneForm:
         w, u = np.linalg.eigh(v_noise)
         assert 1e-12 < w[0] / w[-1] < 1e-9 and 1e-12 < w[1] / w[-1] < 1e-9
         op = add(random_mode(2, 4))
-        with pytest.raises(CovarianceError, match="singular"):
-            displacement_density(v_pure, v_noise, np.zeros(4), op)
-        # one standard deviation along a null direction leaves the range
+        # the density lives on the two-dimensional range at the origin ...
+        p = mode_projector(op.mode)
+        ratio = (np.trace(p @ v_pure) + 2.0) / (np.trace(p @ v) + 2.0)
+        assert displacement_density(v_pure, v_noise, np.zeros(4), op) == pytest.approx(
+            ratio / (TWO_PI * np.sqrt(w[2] * w[3])), rel=1e-9)
+        # ... and one standard deviation along a null direction leaves it
         off = np.sqrt(w[0]) * u[:, 0]
-        assert displacement_density(v_pure, v_noise, off, op, restrict_to_range=True) == 0.0
+        assert displacement_density(v_pure, v_noise, off, op) == 0.0
         pts = np.random.default_rng(5).normal(size=(4, 4))
         est = mixture_reconstruction(v, op, pts, 300, 7)
         ref = mixture_from_constructor(v, op, pts, 300, 7, rank=2)
