@@ -33,12 +33,12 @@ import numpy as np
 from .errors import CovarianceError, DimensionError, MixedStateError
 from .errors import SubtractionUndefinedError
 # unused _check_symmetric: perfbench/selftest.py asserts the tracer rebinds it here
-from .gaussian import _check_symmetric, gaussian_state, gaussian_wigner, is_pure, state_mode
+from .gaussian import _check_symmetric, gaussian_state, is_pure, state_mode
 from .phase_space import as_mode, mode_plane, random_mode
 from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
-    evaluate_wigner,
+    _wigner_factors,
     mean_photon_number,
     nongaussian_wigner,
     require_photons,
@@ -116,8 +116,8 @@ def wigner_minimum(
     sym_quad = w.quad + w.quad.T
 
     def value_grad(b):
-        val = float(evaluate_wigner(w, b))
-        gauss = float(gaussian_wigner(w.state, b, mean=w.mean))
+        poly, gauss = _wigner_factors(w, b)  # one Gaussian per value
+        val = float(poly * gauss)
         return val, (sym_quad @ b + w.lin) * gauss - val * (w.state.inv @ (b - w.mean))
 
     rng, scale = np.random.default_rng(seed), np.sqrt(np.max(np.linalg.eigvalsh(w.cov)))

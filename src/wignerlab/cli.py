@@ -149,6 +149,11 @@ def _open_out(args):
         yield out
 
 
+def _write_header(out, comments: list[str], names) -> None:
+    out.writelines(f"# {line}\n" for line in comments)
+    out.write(",".join(names) + "\n")
+
+
 def _write_csv(args, comments: list[str], columns: dict) -> None:
     """CSV: ``#`` provenance lines, the column names, then one row per entry
     of the equal-length 1-D ``columns``.  Cells read as ``_fmt`` writes them:
@@ -158,9 +163,20 @@ def _write_csv(args, comments: list[str], columns: dict) -> None:
         col = np.asarray(col)
         cells.append((col.astype(int) if col.dtype == bool else col).tolist())
     with _open_out(args) as out:
-        out.writelines(f"# {line}\n" for line in comments)
-        out.write(",".join(columns) + "\n")
+        _write_header(out, comments, columns)
         out.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+
+
+def _write_grid(args, comments: list[str], axis: np.ndarray, values: np.ndarray) -> None:
+    """The :func:`_write_csv` bytes of the columns ``beta1, beta2, w`` of an
+    ``n x n`` grid over ``axis`` (``values`` in :func:`_plane_grid` order),
+    with each axis value formatted once and one grid row written at a time."""
+    cells = [repr(x) + "," for x in axis.tolist()]
+    with _open_out(args) as out:
+        _write_header(out, comments, ("beta1", "beta2", "w"))
+        for i, head in enumerate(cells):
+            row = values[i * len(cells):(i + 1) * len(cells)].tolist()
+            out.write("".join(f"{head}{cell}{w!r}\n" for cell, w in zip(cells, row)))
 
 
 def _write_scan(args, modes: np.ndarray, columns: dict, header: str = "") -> None:
@@ -176,12 +192,11 @@ def _write_scan(args, modes: np.ndarray, columns: dict, header: str = "") -> Non
 
 
 def _plane_grid(extent: float, n: int, h: np.ndarray):
-    """``n x n`` grid over ``[-extent, extent]^2``: the ``(u1, u2)`` pairs and
-    the phase-space points ``u1 h + u2 Jh``."""
+    """``n x n`` grid over ``[-extent, extent]^2``: the axis and the
+    phase-space points ``u1 h + u2 Jh``, ``u1`` the slow index."""
     axis = np.linspace(-extent, extent, n)
-    b1, b2 = np.meshgrid(axis, axis, indexing="ij")
-    flat = np.stack([b1.ravel(), b2.ravel()], axis=-1)
-    return flat, flat[:, :1] * h[None, :] + flat[:, 1:] * apply_j(h)[None, :]
+    u1_h, u2_jh = axis[:, None] * h, axis[:, None] * apply_j(h)
+    return axis, (u1_h[:, None, :] + u2_jh[None, :, :]).reshape(n * n, -1)
 
 
 def cmd_validate(args) -> int:
@@ -201,16 +216,16 @@ def cmd_wigner_grid(args) -> int:
     w = photon_ops.nongaussian_wigner(state, op)
     witness = analysis.negativity_witness(state, op)
 
-    flat, points = _plane_grid(args.range, args.grid, plane)
+    axis, points = _plane_grid(args.range, args.grid, plane)
     values = w(points)
 
-    _write_csv(args, [
+    _write_grid(args, [
         f"wignerlab wigner-grid ordering={ORDERING} scaling={SCALING} "
         f"op={args.op} mode={args.mode} plane={args.plane or args.mode} "
         f"grid={args.grid} range={_fmt(args.range)} seed={args.seed}",
         f"min_w={_fmt(values.min())} witness={_fmt(witness.value)} "
         f"threshold={_fmt(witness.threshold)} negative={witness.negative}",
-    ], {"beta1": flat[:, 0], "beta2": flat[:, 1], "w": values})
+    ], axis, values)
     print(f"min W on grid = {_fmt(values.min())}")
     print(f"witness = {_fmt(witness.value)}; negative = {witness.negative}")
     return EXIT_OK

@@ -57,6 +57,10 @@ SINGULAR_TOL = 1e-13
 #: determinants of accepted states stay finite.
 MAX_ENTRY = 1e100
 
+#: Rows of ``b`` per product in :func:`quadratic_form`: its temporaries stay
+#: ``QUAD_BLOCK x 2m`` floats however many points are evaluated.
+QUAD_BLOCK = 4096
+
 
 def _as_even_square(mat: np.ndarray, what: str = "matrix") -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
@@ -164,10 +168,28 @@ def state_mode(g, dim: int) -> np.ndarray:
     return g
 
 
+def quadratic_form(b, mat: np.ndarray) -> np.ndarray:
+    """``(b, M b)`` over the last axis of ``b``, batched over its leading axes.
+
+    Computed as ``((b @ M) * b).sum(-1)``, one matrix product per block of
+    ``QUAD_BLOCK`` rows, so that a large batch is neither copied nor
+    multiplied whole.  Returns a 0-d array for a single point.
+    """
+    b = np.asarray(b, dtype=float)
+    rows = b.reshape(-1, b.shape[-1])  # a view of a contiguous batch
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), QUAD_BLOCK):
+        blk = rows[start:start + QUAD_BLOCK]
+        out[start:start + QUAD_BLOCK] = ((blk @ mat) * blk).sum(axis=-1)
+    return out.reshape(b.shape[:-1])
+
+
 def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     """Wigner function of a Gaussian state, evaluated at ``beta``.
 
-    ``W(b) = (2 pi)^-m (det V)^-1/2 exp(-(b-mu, V^-1 (b-mu)) / 2)``.
+    ``W(b) = (2 pi)^-m (det V)^-1/2 exp(-(b-mu, V^-1 (b-mu)) / 2)``, with the
+    exponent's quadratic form taken by :func:`quadratic_form` on the state's
+    one ``V^-1``.
 
     ``beta`` may carry leading batch axes.  Returns a scalar for a single
     point.
@@ -182,7 +204,7 @@ def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     if np.any(mean):  # a zero mean would copy the points
         beta = beta - mean
     logdet = state.logdet  # a singular V raises here, before the inverse
-    quad = np.einsum("...i,ij,...j->...", beta, state.inv, beta)
+    quad = quadratic_form(beta, state.inv)
     val = np.exp(-0.5 * quad - 0.5 * logdet - m * np.log(2.0 * np.pi))
     return val if val.ndim else float(val)
 

@@ -62,6 +62,7 @@ from .gaussian import (
     GaussianState,
     gaussian_state,
     gaussian_wigner,
+    quadratic_form,
     state_mode,
     validate_covariance,
     williamson,
@@ -84,6 +85,10 @@ _NOISE_RANK_TOL = 1e-9
 #: exceeds this (absolute, in amplitude units) leaves the noise range.  Not
 #: ``_NOISE_RANK_TOL``: that one is relative and bounds eigenvalues (variances).
 _RANGE_TOL = 1e-9
+
+#: Points per block of :func:`mixture_reconstruction`: its ``(points, draws)``
+#: temporaries stay about 1 MB at 2000 draws.
+_MIXTURE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -225,8 +230,7 @@ def characteristic_function(v, op: PhotonOpSpec, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[-1] != v.shape[0]:
         raise DimensionError("alpha dimension does not match the state")
-    qa = np.einsum("...i,ij,...j->...", alpha, a, alpha)
-    qv = np.einsum("...i,ij,...j->...", alpha, v, alpha)
+    qa, qv = quadratic_form(alpha, a), quadratic_form(alpha, v)
     val = (1.0 - 0.5 * qa) * np.exp(-0.5 * qv)
     return val if val.ndim else float(val)
 
@@ -292,20 +296,26 @@ class PolyGaussianWigner:
         return evaluate_wigner(self, beta)
 
 
-def evaluate_wigner(w: PolyGaussianWigner, beta) -> np.ndarray:
-    """Evaluate a polynomial-times-Gaussian Wigner function at ``beta``.
-
-    Batched over leading axes of ``beta``.
-    """
+def _wigner_factors(w: PolyGaussianWigner, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The polynomial factor ``b.M b + lin.b + const`` and the Gaussian factor
+    ``N(b; mean, cov)`` of ``w`` at ``beta``, batched over leading axes; the
+    Wigner value is their product."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape[-1] != w.dim:
         raise DimensionError(
             f"point dimension {beta.shape[-1]} does not match {w.dim}"
         )
-    quad = np.einsum("...i,ij,...j->...", beta, w.quad, beta)
-    lin = beta @ w.lin
-    gauss = gaussian_wigner(w.state, beta, mean=w.mean)
-    val = (quad + lin + w.const) * gauss
+    poly = quadratic_form(beta, w.quad) + beta @ w.lin + w.const
+    return poly, gaussian_wigner(w.state, beta, mean=w.mean)
+
+
+def evaluate_wigner(w: PolyGaussianWigner, beta) -> np.ndarray:
+    """Evaluate a polynomial-times-Gaussian Wigner function at ``beta``.
+
+    Batched over leading axes of ``beta``.
+    """
+    poly, gauss = _wigner_factors(w, beta)
+    val = poly * gauss
     return val if val.ndim else float(val)
 
 
@@ -364,11 +374,12 @@ def decompose_pure_noise(v) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (v_pure + v_pure.T), 0.5 * (v_noise + v_noise.T)
 
 
-def _plane_bracket(v: np.ndarray, plane: np.ndarray, s: float):
+def _plane_bracket(state: GaussianState, plane: np.ndarray, s: float):
     """Factors of the bracket ``|K b - e|^2 - c0`` of an op of sign ``s`` on
     the plane ``G``: ``K = G^T (1 + s V^-1)``, ``c0 = tr(G^T V^-1 G) + 2s`` and
-    the map ``E = s V^-1 G`` giving ``e = xi @ E`` for one ``xi`` or a batch."""
-    v_inv_g = np.linalg.solve(v, plane)
+    the map ``E = s V^-1 G`` giving ``e = xi @ E`` for one ``xi`` or a batch;
+    ``V^-1`` is the state's own."""
+    v_inv_g = state.inv @ plane
     k = plane.T + s * v_inv_g.T
     return k, float(np.trace(plane.T @ v_inv_g)) + 2.0 * s, s * v_inv_g
 
@@ -411,7 +422,7 @@ def displaced_poly_wigner(v_base, xi: np.ndarray, op: PhotonOpSpec) -> PolyGauss
     den = float(np.trace(plane.T @ v @ plane) + xi_g @ xi_g) + 2.0 * s
     require_photons(op.kind, den / 4.0)
 
-    k, c0, e_map = _plane_bracket(v, plane, s)
+    k, c0, e_map = _plane_bracket(state, plane, s)
     e = xi @ e_map
     return PolyGaussianWigner(
         quad=k.T @ k / den, lin=-2.0 * (e @ k) / den,
@@ -489,9 +500,14 @@ def mixture_reconstruction(
         W_pure(b - xi) [ |K b - e_xi|^2 - c0 ] / (tr(G^T V G) + 2s)
 
     with the bracket factors ``K``, ``e_xi`` and ``c0`` of
-    :func:`displaced_poly_wigner` on ``V_pure``, evaluated for all sampled
-    ``xi`` at once.  Deterministic per seed; ``beta`` may be a single point
-    or a batch.  For a pure input the mixture is a single point and the exact
+    :func:`displaced_poly_wigner` on ``V_pure``.  The estimate is the sample
+    mean and its standard error ``std(ddof=1) / sqrt(n_samples)``, evaluated
+    for every point against every draw as blocked matrix products: with
+    ``P = V_pure^-1``, ``(b - xi).P(b - xi) = b.P b - 2 (P b).xi + xi.P xi``
+    and ``|K b - e|^2 = |K b|^2 - 2 (K b).e + |e|^2``, so a block of
+    ``_MIXTURE_BLOCK`` points costs two GEMMs, against the draws' ``P xi``
+    and ``e``.  Deterministic per seed; ``beta`` may be a single point or a
+    batch.  For a pure input the mixture is a single point and the exact
     value is returned with zero standard error.
 
     Raises:
@@ -520,15 +536,21 @@ def mixture_reconstruction(
         require_photons(op.kind, den / 4.0)
         z = np.random.default_rng(seed).standard_normal((n_samples, int(pos.sum())))
         xis = (z * np.sqrt(w[pos])) @ u[:, pos].T
-        k, c0, e_map = _plane_bracket(v_pure, plane, s)
+        k, c0, e_map = _plane_bracket(pure, plane, s)
         e = xis @ e_map
+        xi_p = xis @ pure.inv
+        xi_quad, e_sq = (xi_p * xis).sum(axis=1), (e * e).sum(axis=1)
+        log_norm = -0.5 * pure.logdet - 0.5 * dim * np.log(2.0 * np.pi)  # of W_pure
         values, errors = np.empty(len(pts)), np.empty(len(pts))
-        for i, (pt, kb) in enumerate(zip(pts, pts @ k.T)):
-            r = kb - e
-            bracket = (r * r).sum(axis=1) - c0
-            samples = gaussian_wigner(pure, pt - xis) * bracket / den
-            values[i] = samples.mean()
-            errors[i] = samples.std(ddof=1) / np.sqrt(n_samples)
+        for start in range(0, len(pts), _MIXTURE_BLOCK):
+            blk = slice(start, start + _MIXTURE_BLOCK)
+            b = pts[blk]
+            kb = b @ k.T
+            quad = quadratic_form(b, pure.inv)[:, None] - 2.0 * (b @ xi_p.T) + xi_quad
+            bracket = (kb * kb).sum(axis=1)[:, None] - 2.0 * (kb @ e.T) + (e_sq - c0)
+            samples = np.exp(log_norm - 0.5 * quad) * bracket / den
+            values[blk] = samples.mean(axis=1)
+            errors[blk] = samples.std(axis=1, ddof=1) / np.sqrt(n_samples)
     if squeeze:
         return MixtureEstimate(float(values[0]), float(errors[0]), n_samples)
     return MixtureEstimate(values=values, std_errors=errors, n_samples=n_samples)

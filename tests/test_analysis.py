@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, random_case
-from wignerlab import analysis
+from wignerlab import analysis, photon_ops
 from wignerlab.analysis import (
     WITNESS_THRESHOLD,
     marginal_wigner,
@@ -47,6 +47,7 @@ from wignerlab.photon_ops import (
     covariance_correction,
     displaced_poly_wigner,
     displacement_density,
+    evaluate_wigner,
     mean_photon_number,
     mixture_reconstruction,
     nongaussian_wigner,
@@ -167,13 +168,30 @@ class TestWignerMinimum:
             wigner_minimum(nongaussian_wigner(np.eye(2), add(X1)), n_starts=n_starts)
 
     def test_one_inverse_per_call(self, monkeypatch):
-        # every BFGS value reads the object's one V^-1
+        # the constructor and every BFGS value read the object's one V^-1
         v = random_mixed_cov(2, 31)
-        w = nongaussian_wigner(v, add(random_mode(2, 32)))
         inv, sizes = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(a.shape) or inv(a))
-        wigner_minimum(w, n_starts=2)
+        wigner_minimum(nongaussian_wigner(v, add(random_mode(2, 32))), n_starts=2)
         assert sizes == [(4, 4)]
+
+    def test_one_gaussian_per_value(self, monkeypatch):
+        # the value and the gradient at one BFGS point share one base Gaussian
+        w = nongaussian_wigner(random_mixed_cov(2, 31), add(random_mode(2, 32)))
+        points, gw = [], photon_ops.gaussian_wigner
+
+        def counted(v, beta, mean=None):
+            points.append(np.array(beta))
+            return gw(v, beta, mean=mean)
+
+        monkeypatch.setattr(photon_ops, "gaussian_wigner", counted)
+        monkeypatch.setattr(analysis, "gaussian_wigner", counted, raising=False)
+        wigner_minimum(w, n_starts=2)
+        assert len(points) > 1
+        assert not any(np.array_equal(p, q) for p, q in zip(points, points[1:]))
+        points.clear()
+        evaluate_wigner(w, np.zeros(4))
+        assert len(points) == 1
 
 
 class TestMarginalWigner:

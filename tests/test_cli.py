@@ -552,12 +552,37 @@ class TestWignerGrid:
 
     @pytest.mark.parametrize("name, dim", [("pure4", 8), ("mixed16", 32)])
     def test_one_inverse(self, states, capsys, monkeypatch, name, dim):
-        # the witness and every grid point read the state file's one V^-1
-        inv, sizes = np.linalg.inv, []
+        # the witness, the bracket factors and every grid point read the
+        # state file's one V^-1; nothing factors V again
+        inv, sizes, solves = np.linalg.inv, [], []
         monkeypatch.setattr(np.linalg, "inv", lambda a: sizes.append(a.shape) or inv(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a))
         assert run(capsys, "wigner-grid", "--state", states[name], "--op", "add",
                    "--mode", "supermode:0", "--grid", "3")[0] == 0
         assert sizes.count((dim, dim)) == 1
+        assert solves == []
+
+    @pytest.mark.parametrize("grid", [1, 2, 201])
+    @pytest.mark.parametrize("plane", [None, "random"])
+    def test_csv_bytes_equal_generic_writer(self, states, tmp_path, capsys,
+                                            monkeypatch, grid, plane):
+        # the per-axis-value formatting writes what _write_csv writes for
+        # the columns beta1, beta2, w
+        def generic(args, comments, axis, values):
+            b1, b2 = np.meshgrid(axis, axis, indexing="ij")
+            cli._write_csv(args, comments,
+                           {"beta1": b1.ravel(), "beta2": b2.ravel(), "w": values})
+
+        argv = ["wigner-grid", "--state", states["pure4"], "--op", "subtract",
+                "--mode", "supermode:0", "--grid", grid, "--range", "2.5"]
+        argv += [] if plane is None else ["--plane", plane]
+        outs = [tmp_path / "fast.csv", tmp_path / "generic.csv"]
+        assert run(capsys, *argv, "--out", outs[0])[0] == 0
+        monkeypatch.setattr(cli, "_write_grid", generic)
+        assert run(capsys, *argv, "--out", outs[1])[0] == 0
+        data = outs[0].read_bytes()
+        assert data == outs[1].read_bytes()
+        assert data.count(b"\n") == 3 + grid * grid
 
 
 class TestWitnessScan:

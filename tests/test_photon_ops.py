@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, plane_points, random_case
+from wignerlab import photon_ops
 from wignerlab.errors import (
     CapacityError,
     CovarianceError,
@@ -25,6 +26,8 @@ from wignerlab.gaussian import (
 )
 from wignerlab.phase_space import apply_j, mode_projector, random_mode
 from wignerlab.photon_ops import (
+    _MIXTURE_BLOCK,
+    _NOISE_RANK_TOL,
     PhotonOpSpec,
     PolyGaussianWigner,
     add,
@@ -473,6 +476,75 @@ class TestMixtureReconstruction:
         se_small = mixture_reconstruction(mixed_cov_1m, op, beta, 20_000, 5).std_errors
         se_big = mixture_reconstruction(mixed_cov_1m, op, beta, 80_000, 5).std_errors
         assert se_small / se_big == pytest.approx(2.0, rel=0.15)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        kind=st.sampled_from(["add", "subtract"]),
+        extent=st.floats(0.0, 3.0),
+        count=st.sampled_from([None, 1, _MIXTURE_BLOCK, _MIXTURE_BLOCK + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_matches_point_loop(self, m, kind, extent, count, seed):
+        # count None is a single 1-D point
+        rng = np.random.default_rng(seed)
+        v = random_mixed_cov(m, rng)
+        op = PhotonOpSpec(kind, random_mode(m, rng))
+        pts = extent * rng.uniform(-1.0, 1.0, size=(count or 1, 2 * m))
+        beta = pts[0] if count is None else pts
+        est = mixture_reconstruction(v, op, beta, 300, seed)
+        values, errors = mixture_point_loop(v, op, pts, 300, seed)
+        assert isinstance(est.values, float) == (count is None)
+        assert np.max(np.abs(est.values - values)) <= 1e-12 * np.max(np.abs(values))
+        assert np.max(np.abs(est.std_errors - errors) / errors) <= 1e-10
+
+    def test_no_gaussian_wigner_calls(self, monkeypatch):
+        calls = []
+        gw = photon_ops.gaussian_wigner
+        monkeypatch.setattr(photon_ops, "gaussian_wigner",
+                            lambda *a, **k: calls.append(a) or gw(*a, **k))
+        v, g = random_mixed_cov(4, 21), random_mode(4, 22)
+        pts = np.random.default_rng(23).normal(size=(2 * _MIXTURE_BLOCK + 3, 8))
+        mixture_reconstruction(v, subtract(g), pts, 500, 24)
+        assert calls == []
+
+    def test_blocked_memory(self):
+        # 4096 points x 2000 draws: one unblocked (points, draws) matrix
+        # alone would take 64 MiB
+        v, g = random_mixed_cov(2, 25), random_mode(2, 26)
+        pts = np.random.default_rng(27).uniform(-3.0, 3.0, size=(4096, 4))
+        tracemalloc.start()
+        try:
+            mixture_reconstruction(v, add(g), pts, 2000, 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def mixture_point_loop(v, op, pts, n_samples, seed):
+    """Reference: the mixture estimator point by point, each point's samples
+    from one ``gaussian_wigner`` call on all draws and the bracket factors
+    from ``solve``.  Returns ``(values, std_errors)``."""
+    v_pure, v_noise = decompose_pure_noise(v)
+    w, u = np.linalg.eigh(v_noise)
+    pos = w > max(w[-1], 1.0) * _NOISE_RANK_TOL
+    z = np.random.default_rng(seed).standard_normal((n_samples, int(pos.sum())))
+    xis = (z * np.sqrt(w[pos])) @ u[:, pos].T
+    s = float(op.sign)
+    plane = np.column_stack([op.mode, apply_j(op.mode)])
+    v_inv_g = np.linalg.solve(v_pure, plane)
+    k = plane.T + s * v_inv_g.T
+    c0 = float(np.trace(plane.T @ v_inv_g)) + 2.0 * s
+    e = s * xis @ v_inv_g
+    den = float(np.trace(plane.T @ v @ plane)) + 2.0 * s
+    values, errors = [], []
+    for pt in pts:
+        r = k @ pt - e
+        samples = gaussian_wigner(v_pure, pt - xis) * ((r * r).sum(axis=1) - c0) / den
+        values.append(samples.mean())
+        errors.append(samples.std(ddof=1) / np.sqrt(n_samples))
+    return np.array(values), np.array(errors)
 
 
 def projector_form(v, xi, op):
