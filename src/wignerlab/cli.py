@@ -35,6 +35,7 @@ output; ``--workers`` is accepted but starts no threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -344,7 +345,10 @@ _MODE_HELP = ("mode spec: coordinates, supermode:i or random; write a spec "
               "that starts with a minus as --{0}=-1,0")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused:
+    parsing keeps no state between calls, each returns a fresh namespace."""
     parser = _Parser(
         prog="wignerlab",
         description=(

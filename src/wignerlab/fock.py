@@ -27,6 +27,24 @@ E(2|z|) Q^T Phi^dag``.  With ``z_j = -gamma_j`` each Wigner value is
 ``s_m Re <R chi, (x)_j sigma E(2|z_j|) chi>``, ``chi = (x)_j Q^T Phi_j^dag
 psi``: one real GEMM per mode axis on the state's float pairs.
 
+Points on one complex line, ``gamma = w conj(u)`` for one unit ``u``,
+displace only the mode ``a(g) = sum_j u_j a_j``, ``g = (Re u, -Im u)``.  The
+basis-completion interferometer rotates ``g`` onto axis 0 and commutes with
+parity, so with the rotated amplitudes ``psi[k, r]`` (``k`` axis 0's level,
+``r`` the other axes) and ``rho~ = sum_r (-1)^|r| psi[:, r] psi[:, r]^dag``
+each value is ``s_m tr(D(z)^dag Pi D(z) rho~)`` on axis 0, ``z = -w``.  The
+identity above turns it into ``s_m Re sum_a sigma_a e^{2i|z| lam_a} sum_d
+e^{-i d phi} T[d, a]``, ``phi = arg(-i z)``, with the table ``T[d, a] =
+sum_{k-l=d} Q[k, a] Q[l, n-1-a] rho~[k, l]``, built once.  The index order
+matters: the row index ``k`` of ``rho~`` pairs with column ``a`` of ``Q``,
+the column index ``l`` with the reversed ``n-1-a``; the other pairing gives
+``W(-beta)``, which equals ``W(beta)`` for every undisplaced photon-added
+or -subtracted Gaussian state.  Truncation: for ``m >= 2`` this route applies
+one truncated rotation and one truncated displacement on axis 0 where the
+per-point route displaces every axis, so the two agree wherever the state
+fits under the cutoff; for one mode the rotation is a phase and the routes
+are the same.
+
 Beamsplitters conserve photon number and act on the blocks of fixed total
 ``N``.  There the gauged generator ``T`` is real tridiagonal with zero
 diagonal, so it only couples even to odd local indices: ``T = [[0, B],
@@ -80,6 +98,15 @@ _SQUEEZING_SLACK = 1e-12
 
 #: Unitary entries below this magnitude are zero when choosing Givens rotations.
 _GIVENS_ZERO_TOL = 1e-14
+
+#: ``fock_wigner`` points lie on one complex line when the second singular
+#: value of their ``gamma`` matrix is at most this fraction of the first.
+_PLANE_RANK_TOL = 1e-12
+
+#: Points per product on the plane path.  A block's temporaries grow as
+#: ``_PLANE_BLOCK * cutoff``; at 32 the plane path's peak memory stays below
+#: the per-point path's on two-mode states at cutoff 80.
+_PLANE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -444,13 +471,22 @@ def displace_state(state: FockState, xi: np.ndarray) -> FockState:
 
 
 def fock_wigner(state: FockState, beta) -> np.ndarray:
-    """Wigner function from displaced parity, point by point (identity and
-    scaling in the module docstring).
+    """Wigner function from displaced parity (identities and scaling in the
+    module docstring).
 
-    Valid while the displaced state fits under the cutoff: keep the grid so
-    that per-mode ``|gamma|^2 = |beta_mode|^2 / 4`` stays well below it, or
-    the unitary truncated displacement wraps amplitude around instead of
-    letting the value decay.
+    Every one-mode call, and every multimode set of at least ``cutoff``
+    points on one complex line (a grid in one ``(g, Jg)`` plane, say), takes
+    the plane path: one rotation of the state, then a table lookup per point.
+    Any other point set is evaluated point by point: the one rotation of a
+    multimode state costs about as much as some ``cutoff`` per-point
+    evaluations, so fewer points than that stay on the per-point path even
+    when they share a line.
+
+    Valid while the displaced state fits under the cutoff, or the unitary
+    truncated displacement wraps amplitude around instead of letting the
+    value decay.  Point by point the bound is per mode, ``|gamma_j|^2 =
+    |beta_mode_j|^2 / 4`` well below the cutoff; on the plane path the whole
+    displacement sits on axis 0, so it is ``|w|^2 = sum_j |gamma_j|^2``.
 
     Raises:
         DimensionError: ``beta`` is not a stack of phase-space points.
@@ -463,14 +499,30 @@ def fock_wigner(state: FockState, beta) -> np.ndarray:
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
     pts = beta.reshape(-1, 2 * m)
-    n = state.cutoff
+    gamma = 0.5 * (pts[:, :m] + 1j * pts[:, m:])
+    out = np.empty(0)
+    if len(pts):
+        _, s, vh = np.linalg.svd(gamma, full_matrices=False)
+        on_line = s.size < 2 or s[1] <= _PLANE_RANK_TOL * s[0]
+        if on_line and (m == 1 or len(pts) >= state.cutoff):
+            out = _plane_wigner(state, gamma, np.conj(vh[0]))
+        else:
+            out = _point_wigner(state, gamma)
+    out *= (2.0 * np.pi) ** (-m)
+    return float(out[0]) if beta.ndim == 1 else out.reshape(beta.shape[:-1])
+
+
+def _point_wigner(state: FockState, gamma: np.ndarray) -> np.ndarray:
+    """Unscaled displaced parity at each row of ``gamma``, one real GEMM per
+    mode axis and point; the reference for the plane path."""
+    n, m = state.cutoff, state.modes
     lam, q, sigma = _ladder_spectrum(n)
-    z = -0.5 * (pts[:, :m] + 1j * pts[:, m:])  # D(gamma)^dag = D(-gamma)
+    z = -gamma  # D(gamma)^dag = D(-gamma)
     levels = np.arange(n)
     along = [(slice(None),) + (None,) * (m - 1 - j) for j in range(m)]
     flip = (slice(None, None, -1),) * m
     bufs = np.empty((2,) + state.amplitudes.shape, complex)
-    out = np.empty(len(pts))
+    out = np.empty(len(z))
     for i, (angle, radius) in enumerate(zip(np.angle(-1j * z), np.abs(z))):
         gauge = np.exp(-1j * np.outer(angle, levels))
         # flipped weights, so that <R chi, W chi> = <chi, flip(W chi)>
@@ -489,8 +541,43 @@ def fock_wigner(state: FockState, beta) -> np.ndarray:
         for j in range(1, m):
             planes *= weight[j][along[j]]
         out[i] = np.vdot(chi, planes).real
-    out *= (2.0 * np.pi) ** (-m)
-    return float(out[0]) if beta.ndim == 1 else out.reshape(beta.shape[:-1])
+    return out
+
+
+def _plane_wigner(state: FockState, gamma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Unscaled displaced parity at rows ``gamma = w conj(u)``: rotate mode
+    ``a(g) = sum_j u_j a_j`` onto axis 0 once, build the table ``T`` of the
+    module docstring, then evaluate ``_PLANE_BLOCK`` points per product."""
+    n = state.cutoff
+    lam = _ladder_spectrum(n)[0]
+    table = _plane_table(_rotated_amplitudes(state, np.concatenate([u.real, -u.imag])),
+                         state.modes)
+    w = gamma @ u
+    out = np.empty(len(w))
+    for start in range(0, len(w), _PLANE_BLOCK):
+        z = -w[start:start + _PLANE_BLOCK]
+        # e^{-i d phi} for d >= 0; the negative shifts are their conjugates
+        half = np.exp(-1j * np.outer(np.angle(-1j * z), np.arange(n)))
+        gauge = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+        weight = np.exp(2j * np.outer(np.abs(z), lam))
+        out[start:start + _PLANE_BLOCK] = np.einsum("pa,pa->p", weight, gauge @ table).real
+    return out
+
+
+def _plane_table(psi: np.ndarray, m: int) -> np.ndarray:
+    """``T[d, a] sigma_a`` (module docstring) at row ``d + n - 1``, from the
+    rotated amplitudes ``psi`` of ``m`` modes as an ``(n, n^(m-1))`` matrix."""
+    n = psi.shape[0]
+    _, q, sigma = _ladder_spectrum(n)
+    parity = 1.0 - 2.0 * (np.indices((n,) * (m - 1)).sum(axis=0).ravel() % 2)
+    rho = (psi * parity) @ psi.conj().T
+    table = np.empty((2 * n - 1, n), complex)
+    for d in range(1 - n, n):
+        # rho[k, l] on the diagonal k - l = d, paired with Q[k, a] Q[l, n-1-a]
+        k, l = max(d, 0), max(-d, 0)
+        table[d + n - 1] = np.diagonal(rho, -d) @ (q[k:n - l] * q[l:n - k, ::-1])
+    table *= sigma
+    return table
 
 
 def fock_characteristic(state: FockState, alpha) -> complex:
@@ -579,13 +666,18 @@ def fock_truncated_correlation(state: FockState, modes) -> float:
     return 2.0 * total / (2.0**n * math.factorial(n))
 
 
+def _rotated_amplitudes(state: FockState, g: np.ndarray) -> np.ndarray:
+    """Amplitudes after the basis-completion interferometer of mode ``g``,
+    which rotates ``g`` onto the first mode axis, as an ``(n, n^(m-1))``
+    matrix: rows are axis 0's levels, columns the other axes' flat index."""
+    c = np.array([_mode_coefficients(h, state.modes)
+                  for h in complete_symplectic_basis(g)[0::2]])
+    return apply_interferometer(state, c).amplitudes.reshape(state.cutoff, -1)
+
+
 def mode_reduced_purity(state: FockState, g: np.ndarray) -> float:
     """Partial-trace purity of mode ``g``: rotate ``g`` onto the first mode
-    axis with the basis-completion interferometer, trace the rest."""
-    basis = complete_symplectic_basis(g)
-    planes = basis[0::2]
-    c = np.array([_mode_coefficients(h, state.modes) for h in planes])
-    rotated = apply_interferometer(state, c)
-    amp = rotated.amplitudes.reshape(state.cutoff, -1)
+    axis, trace the rest."""
+    amp = _rotated_amplitudes(state, g)
     rho = amp @ amp.conj().T
     return float(np.sum(np.abs(rho) ** 2).real)

@@ -283,6 +283,56 @@ class TestUsageErrors:
         assert "--mode=-1,0" in capsys.readouterr().out
 
 
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it; parsing
+    keeps nothing from one call to the next."""
+
+    @staticmethod
+    def calls(states, tmp_path):
+        return [
+            ["wigner-grid", "--state", states["squeezed"], "--op", "add", "--mode", "1,0",
+             "--grid", "3", "--seed", "5", "--out", tmp_path / "grid.csv"],
+            ["wigner-grid", "--state", states["squeezed"], "--op", "subtract",
+             "--mode", "random", "--grid", "2"],
+            ["validate", states["thermal"]],
+            ["purity-scan", "--state", states["pure4"], "--op", "add", "--samples", "3"],
+            ["purity-scan", "--state", states["pure4"], "--op", "add", "--bogus"],
+            ["witness-scan", "--state", states["squeezed"], "--op", "add",
+             "--samples", "2", "--seed", "9"],
+            ["witness-scan", "--state", states["squeezed"], "--op", "add", "--samples", "2"],
+        ]
+
+    def test_built_once_across_calls(self, states, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        calls = self.calls(states, tmp_path)
+        for argv in calls:
+            run(capsys, *argv)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+    def test_consecutive_calls_share_no_state(self, states, tmp_path, capsys):
+        calls = self.calls(states, tmp_path)
+        reused = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 3, 0, 0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["wigner-grid", "--help"],
+                                      ["oracle-check", "--help"]])
+    def test_help_matches_a_fresh_parser(self, argv, states, capsys):
+        run(capsys, "validate", states["vacuum1"])
+        texts = []
+        for parse in (main, cli._build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            texts.append((exc.value.code, capsys.readouterr().out))
+        assert texts[0] == texts[1]
+        assert texts[0][0] == 0 and texts[0][1].startswith("usage: wignerlab")
+
+
 UNWRITABLE = {
     "witness-scan": lambda s, out: ["witness-scan", "--state", s["squeezed"], "--op",
                                     "add", "--samples", "2", "--out", out],

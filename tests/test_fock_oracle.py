@@ -1,6 +1,7 @@
 """Brute-force Fock-space checks of every analytic closed form."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, plane_points
+from wignerlab import fock
 from wignerlab.analysis import reduced_purities
 from wignerlab.errors import (
     CapacityError,
@@ -54,6 +56,7 @@ from wignerlab.photon_ops import (
 
 X1 = np.array([1.0, 0.0])
 TWO_PI = 2.0 * np.pi
+NATS_TO_DB = 20.0 / np.log(10.0)
 SQ = np.diag([0.5, 2.0])
 
 
@@ -191,8 +194,17 @@ class TestWigner:
         # so the cutoff carries headroom for the integration domain.
         st, _ = apply_photon_op(gaussian_fock_state(SQ, 128), subtract(X1))
         axis, pts = grid2d(9.0, 301)
-        integral = 4.0 * np.pi * integrate2d(fock_wigner(st, pts) ** 2, axis)
+        tracemalloc.start()
+        try:
+            values = fock_wigner(st, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        integral = 4.0 * np.pi * integrate2d(values ** 2, axis)
         assert integral == pytest.approx(1.0, abs=2e-4)
+        # the plane path evaluates small point blocks: 1024-point blocks
+        # would take 19.3 MiB on these 90 601 points
+        assert peak < 8 * 2**20
 
 
 def _gaussian_at_cutoff(v: np.ndarray, cutoff: int) -> FockState:
@@ -246,6 +258,104 @@ class TestDisplacedParity:
             for b in betas
         ]) / TWO_PI**m
         assert np.max(np.abs(fock_wigner(state, betas) - ref)) <= 1e-13
+
+
+def _gamma(state: FockState, pts: np.ndarray) -> np.ndarray:
+    m = state.modes
+    return 0.5 * (pts[:, :m] + 1j * pts[:, m:])
+
+
+def _per_point_wigner(state: FockState, pts: np.ndarray) -> np.ndarray:
+    """``fock_wigner`` through the per-point path, whatever the points."""
+    return fock._point_wigner(state, _gamma(state, pts)) / TWO_PI**state.modes
+
+
+def _plane_wigner(state: FockState, pts: np.ndarray) -> np.ndarray:
+    """``fock_wigner`` through the plane path, for points on one line."""
+    gamma = _gamma(state, pts)
+    u = np.conj(np.linalg.svd(gamma)[2][0])
+    return fock._plane_wigner(state, gamma, u) / TWO_PI**state.modes
+
+
+def _refuse(*args):
+    raise AssertionError("path entered")
+
+
+class TestPlanePath:
+    """Points on one complex line rotate the state once and read a table;
+    the per-point path is the reference."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        displaced=st.booleans(),
+        kind=st.sampled_from(["add", "subtract"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_point_path(self, m, displaced, kind, seed):
+        rng = np.random.default_rng(seed)
+        rs = rng.uniform(0.1, 0.6 if m == 2 else 0.3, size=m)
+        v = random_pure_squeezed_cov(m, rs * rng.choice([-1.0, 1.0], size=m) * NATS_TO_DB,
+                                     rng)
+        state = gaussian_fock_state(v, suggested_cutoff(rs, 1e-20) + 12)
+        if displaced:  # W(beta) != W(-beta), so a reversed table shows here
+            state = displace_state(state, rng.uniform(-1.0, 1.0, size=2 * m))
+        g = random_mode(m, rng)
+        if kind == "subtract" and fock_mean_photon(state, g) < 1e-6:
+            kind = "add"
+        state, _ = apply_photon_op(state, PhotonOpSpec(kind, g))
+        h = g if rng.random() < 0.5 else random_mode(m, rng)
+        pts = plane_points(grid2d(3.0, 7)[1], h)
+        got = _plane_wigner(state, pts)
+        assert np.max(np.abs(got - _per_point_wigner(state, pts))) <= 1e-12
+
+    def test_one_rotation_for_a_two_mode_plane(self, monkeypatch):
+        v = random_pure_squeezed_cov(2, [3.0, -2.0], 5)
+        g = random_mode(2, 6)
+        state, _ = apply_photon_op(gaussian_fock_state(v, 40), add(g))
+        calls = []
+        rotate = fock.apply_interferometer
+        monkeypatch.setattr(fock, "apply_interferometer",
+                            lambda *a: calls.append(1) or rotate(*a))
+        fock_wigner(state, plane_points(grid2d(4.0, 21)[1], g))
+        assert len(calls) == 1
+
+    def test_one_mode_never_evaluates_point_by_point(self, monkeypatch):
+        state, _ = apply_photon_op(gaussian_fock_state(SQ, 40), add(X1))
+        pts = np.random.default_rng(8).normal(size=(50, 2))
+        expected = _per_point_wigner(state, pts)
+        monkeypatch.setattr(fock, "_point_wigner", _refuse)
+        assert np.max(np.abs(fock_wigner(state, pts) - expected)) <= 1e-13
+        assert fock_wigner(state, pts[0]) == pytest.approx(expected[0], abs=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fewer_points_than_cutoff_take_the_per_point_path(self, m, monkeypatch):
+        # one rotation costs about as much as ``cutoff`` per-point values
+        cutoff = 14 if m == 3 else 16
+        g = random_mode(m, 10)
+        state, _ = apply_photon_op(vacuum_state(m, cutoff), add(g))
+        pts = plane_points(np.random.default_rng(11).normal(scale=0.5, size=(cutoff, 2)), g)
+        expected = _per_point_wigner(state, pts)
+        monkeypatch.setattr(fock, "_point_wigner", _refuse)
+        assert np.max(np.abs(fock_wigner(state, pts) - expected)) <= 1e-13
+        monkeypatch.undo()
+        monkeypatch.setattr(fock, "_plane_wigner", _refuse)
+        assert np.max(np.abs(fock_wigner(state, pts[1:]) - expected[1:])) <= 1e-13
+        assert fock_wigner(state, pts[0]) == pytest.approx(expected[0], abs=1e-13)
+
+    def test_points_off_one_line_take_the_per_point_path(self, monkeypatch):
+        state = vacuum_state(2, 12)
+        pts = np.random.default_rng(9).normal(size=(5, 4))
+        monkeypatch.setattr(fock, "_plane_wigner", _refuse)
+        assert np.allclose(fock_wigner(state, pts),
+                           np.exp(-0.5 * np.sum(pts**2, axis=1)) / TWO_PI**2)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_empty_point_set(self, m):
+        state = vacuum_state(m, 8)
+        for shape in [(0, 2 * m), (3, 0, 2 * m)]:
+            out = fock_wigner(state, np.empty(shape))
+            assert out.shape == shape[:-1]
 
 
 class TestDisplacedStates:
