@@ -34,7 +34,7 @@ from .errors import CovarianceError, DimensionError, MixedStateError
 from .errors import SubtractionUndefinedError
 # unused _check_symmetric: perfbench/selftest.py asserts the tracer rebinds it here
 from .gaussian import _check_symmetric, gaussian_state, is_pure, state_mode
-from .phase_space import as_mode, mode_plane, random_mode
+from .phase_space import NORM_FLOOR, _norms, as_mode, mode_plane, random_mode
 from .photon_ops import (
     PhotonOpSpec,
     PolyGaussianWigner,
@@ -262,7 +262,7 @@ def plane_scan(v, kind: str, modes: np.ndarray) -> PurityScan:
     state = gaussian_state(v)
     if kind not in WITNESS_THRESHOLD:
         raise ValueError(f"kind must be 'add' or 'subtract', got {kind!r}")
-    modes = np.array([as_mode(g) for g in modes])
+    modes = as_mode(modes)
     if modes.ndim != 2 or modes.shape[1] != state.v.shape[0]:
         raise DimensionError("modes must be an (n, 2m) array matching the state")
     s = 1.0 if kind == "add" else -1.0
@@ -303,7 +303,9 @@ def sample_scan_mode(
     """Mode for scan sample ``index``: deterministic counter substream.
 
     Subtraction draws landing on a zero-photon mode are redrawn from the same
-    substream; returns the mode and the number of resamples.
+    substream; returns the mode and the number of resamples.  This is the
+    reference for one sample: :func:`draw_scan_modes` takes every first draw
+    in one pass and calls it only for the samples that pass rejects.
 
     Raises:
         SubtractionUndefinedError: after ``SCAN_MAX_RESAMPLES`` rejected draws
@@ -326,12 +328,30 @@ def sample_scan_mode(
 def draw_scan_modes(
     v, kind: str, n_samples: int, seed
 ) -> tuple[np.ndarray, int]:
-    """Modes of samples ``0 .. n_samples - 1`` and their total resample count."""
+    """Modes of samples ``0 .. n_samples - 1`` and their total resample count.
+
+    Row ``i`` and the count are those of :func:`sample_scan_mode` for every
+    ``i``, bit for bit.  The first draw of each sample comes from its own
+    substream ``[seed, i]``, one generator at a time; the draws are then
+    normalised, validated and, for subtraction, given their mean photon
+    numbers in one pass over the whole stack.  Only a draw that
+    :func:`sample_scan_mode` would reject (norm at most ``NORM_FLOOR``, or
+    mean photon number below ``SCAN_PHOTON_TOL``) goes to it, which draws
+    that sample again from its substream.
+    """
     state = gaussian_state(v)
     modes = np.empty((n_samples, state.v.shape[0]))
+    for i, row in enumerate(modes):
+        np.random.default_rng([seed, i]).standard_normal(out=row)
+    norms = _norms(modes)
+    kept = norms > NORM_FLOOR
+    modes /= np.where(kept, norms, 1.0)[:, None]
+    modes[kept] = as_mode(modes[kept])
+    if kind == "subtract":
+        kept[kept] = mean_photon_number(state, modes[kept]) >= SCAN_PHOTON_TOL
     total_resampled = 0
-    for i in range(n_samples):
-        modes[i], resampled = sample_scan_mode(state, kind, seed, i)
+    for i in np.flatnonzero(~kept):
+        modes[i], resampled = sample_scan_mode(state, kind, seed, int(i))
         total_resampled += resampled
     return modes, total_resampled
 

@@ -145,8 +145,8 @@ def _mode_coefficients(g: np.ndarray, modes: int) -> np.ndarray:
         DimensionError: ``g`` is not a mode of a ``modes``-mode state.
     """
     g = as_mode(g)
-    if g.size != 2 * modes:
-        raise DimensionError(f"mode of length {g.size} does not match {modes} modes")
+    if g.shape != (2 * modes,):
+        raise DimensionError(f"mode of shape {g.shape} does not match {modes} modes")
     return g[:modes] - 1j * g[modes:]
 
 

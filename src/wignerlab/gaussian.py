@@ -163,8 +163,8 @@ def state_mode(g, dim: int) -> np.ndarray:
     """:func:`as_mode` of ``g``, a mode of a state of ``dim = 2m`` quadratures;
     the one mode-length check of every reader."""
     g = as_mode(g)
-    if g.size != dim:
-        raise DimensionError(f"mode length {g.size} does not match 2m = {dim}")
+    if g.shape != (dim,):
+        raise DimensionError(f"mode of shape {g.shape} is not one vector of 2m = {dim}")
     return g
 
 

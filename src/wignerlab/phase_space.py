@@ -69,28 +69,44 @@ def apply_j(f: np.ndarray) -> np.ndarray:
     return np.concatenate((-f[..., m:], f[..., :m]), axis=-1)
 
 
+def _norms(f: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis of a float array.
+
+    One BLAS dot per vector, so that each norm equals ``np.linalg.norm`` of
+    that vector bit for bit; a batched ``einsum`` or ``sum`` rounds
+    differently.
+    """
+    return np.sqrt((f[..., None, :] @ f[..., :, None])[..., 0, 0])
+
+
 def as_mode(f: np.ndarray) -> np.ndarray:
     """Validate a mode vector and return a normalised read-only copy.
 
-    Idempotent: a vector already normalised to rounding is returned with its
-    bits unchanged.
+    Accepts a single vector or a stack of vectors on leading axes; the whole
+    stack is validated in one pass, and each row comes out as the call on that
+    row alone would return it (a scan validates all its drawn modes in one
+    call).  Idempotent: a vector already normalised to rounding is returned
+    with its bits unchanged.
 
     Raises:
-        DimensionError: for odd or zero length.
-        ModeValidationError: if the norm deviates from 1 by more than
+        DimensionError: for a scalar, or an odd or zero last axis.
+        ModeValidationError: if any norm deviates from 1 by more than
             ``MODE_NORM_TOL`` or is not a number.
     """
     f = np.array(f, dtype=float)
-    if f.ndim != 1:
-        raise DimensionError("mode vectors are one-dimensional")
-    _even_dim(f.size)
-    norm = float(np.linalg.norm(f))
-    if not abs(norm - 1.0) <= MODE_NORM_TOL:  # NaN fails too
+    if f.ndim == 0:
+        raise DimensionError("a mode is a vector, got a scalar")
+    _even_dim(f.shape[-1])
+    norm = _norms(f)
+    off = np.abs(norm - 1.0)
+    worst = off.max(initial=0.0)  # NaN if any norm is NaN
+    if not worst <= MODE_NORM_TOL:
+        bad = norm[~(off <= MODE_NORM_TOL)].flat[0]
         raise ModeValidationError(
-            f"mode vector norm {norm!r} deviates from 1 beyond {MODE_NORM_TOL}"
+            f"mode vector norm {float(bad)!r} deviates from 1 beyond {MODE_NORM_TOL}"
         )
-    if abs(norm - 1.0) > _MODE_ROUNDING_TOL:
-        f /= norm
+    if worst > _MODE_ROUNDING_TOL:
+        f /= np.where(off > _MODE_ROUNDING_TOL, norm, 1.0)[..., None]
     f.flags.writeable = False
     return f
 
@@ -109,10 +125,10 @@ def mode_projector(g: np.ndarray) -> np.ndarray:
 
     Returns ``G G^T = g g^T + (Jg)(Jg)^T``: symmetric, idempotent, trace 2,
     and identical for every mode spanning the same plane (``g``, ``Jg``, or
-    any rotation of the pair).
+    any rotation of the pair).  A stack of modes gives a stack of projectors.
     """
     plane = mode_plane(as_mode(g))
-    return plane @ plane.T
+    return plane @ np.swapaxes(plane, -1, -2)
 
 
 def random_mode(m: int, seed) -> np.ndarray:
@@ -141,6 +157,8 @@ def complete_symplectic_basis(g: np.ndarray) -> list[np.ndarray]:
     ``[g_x + i g_p, 1]``, read as real vectors (module conventions).
     """
     g = as_mode(g)
+    if g.ndim != 1:
+        raise DimensionError("a symplectic basis is completed from one mode vector")
     m = g.size // 2
     q = np.linalg.qr(np.column_stack([g[:m] + 1j * g[m:], np.eye(m)]))[0]
     basis = [np.asarray(g), apply_j(g)]

@@ -101,7 +101,10 @@ class PhotonOpSpec:
     def __post_init__(self):
         if self.kind not in ("add", "subtract"):
             raise ValueError(f"kind must be 'add' or 'subtract', got {self.kind!r}")
-        object.__setattr__(self, "mode", as_mode(self.mode))
+        mode = as_mode(self.mode)
+        if mode.ndim != 1:
+            raise DimensionError("a photon operation acts on one mode vector")
+        object.__setattr__(self, "mode", mode)
 
     @property
     def sign(self) -> int:
@@ -118,12 +121,25 @@ def subtract(g) -> PhotonOpSpec:
     return PhotonOpSpec("subtract", g)
 
 
-def mean_photon_number(v, g: np.ndarray) -> float:
-    """Mean photon number of mode ``g``: ``tr((V - 1) P) / 4``."""
+def mean_photon_number(v, g: np.ndarray):
+    """Mean photon number of mode ``g``: ``(tr(G^T V G) - 2) / 4``, the
+    ``nbar`` of :func:`~wignerlab.analysis.plane_scan`.
+
+    ``g`` may be a stack of modes on leading axes, validated by one
+    :func:`as_mode` call, which gives one value per mode; a subtraction scan
+    checks all its first draws with one call.  Each mode's ``G^T V G`` is a
+    matrix product of its own, so every value equals the call on that mode
+    alone bit for bit (the rows of one product over the whole stack would
+    not).  Returns a float for a single mode.
+    """
     v = gaussian_state(v).v
-    g = state_mode(g, len(v))
-    jg = apply_j(g)
-    return float((g @ v @ g + jg @ v @ jg - 2.0) / 4.0)
+    g = as_mode(g)
+    if g.shape[-1] != len(v):
+        raise DimensionError(f"modes of shape {g.shape} do not match 2m = {len(v)}")
+    plane = mode_plane(g)
+    r = np.swapaxes(plane, -1, -2) @ (v @ plane)
+    nbar = (r[..., 0, 0] + r[..., 1, 1] - 2.0) / 4.0
+    return float(nbar) if g.ndim == 1 else nbar
 
 
 def require_photons(kind: str, nbar) -> None:

@@ -302,6 +302,53 @@ class TestWignerPurity:
         assert 0.0 < mu <= 1.0 + 1e-9
 
 
+def reference_draws(v, kind, n_samples, seed):
+    """The draws of a scan one sample at a time, by the reference draw."""
+    rows = [analysis.sample_scan_mode(v, kind, seed, i) for i in range(n_samples)]
+    modes = np.array([g for g, _ in rows]).reshape(n_samples, len(v))
+    return modes, sum(resampled for _, resampled in rows)
+
+
+class TestDrawScanModes:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        mixed=st.booleans(),
+        kind=st.sampled_from(["add", "subtract"]),
+        n_samples=st.integers(0, 24),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_equals_reference(self, m, mixed, kind, n_samples, seed):
+        v = random_mixed_cov(m, seed % 2**32, max_squeezing_db=7.0,
+                             max_thermal=2.0 if mixed else 1.0)
+        modes, resampled = analysis.draw_scan_modes(v, kind, n_samples, seed)
+        ref_modes, ref_resampled = reference_draws(v, kind, n_samples, seed)
+        assert modes.tobytes() == ref_modes.tobytes()
+        assert resampled == ref_resampled
+
+    @pytest.mark.parametrize("m, mixed, seed", [(2, False, 3), (3, True, 8), (9, False, 21),
+                                                 (13, True, 34)])
+    def test_rejected_draws_go_to_reference(self, monkeypatch, m, mixed, seed):
+        # a tolerance between the first draws' photon numbers rejects some of
+        # them; those samples are drawn again, and counted, as the reference does
+        v = random_mixed_cov(m, seed, max_squeezing_db=7.0, max_thermal=2.0 if mixed else 1.0)
+        first, _ = analysis.draw_scan_modes(v, "add", 16, seed)
+        nbar = np.sort(mean_photon_number(v, first))
+        monkeypatch.setattr(analysis, "SCAN_PHOTON_TOL", (nbar[7] + nbar[8]) / 2.0)
+        modes, resampled = analysis.draw_scan_modes(v, "subtract", 16, seed)
+        ref_modes, ref_resampled = reference_draws(v, "subtract", 16, seed)
+        assert modes.tobytes() == ref_modes.tobytes()
+        assert resampled == ref_resampled >= 8
+        assert np.all(mean_photon_number(v, modes) >= analysis.SCAN_PHOTON_TOL)
+
+    def test_vacuum_raises_as_reference(self):
+        with pytest.raises(SubtractionUndefinedError) as batch:
+            analysis.draw_scan_modes(np.eye(4), "subtract", 3, 5)
+        with pytest.raises(SubtractionUndefinedError) as single:
+            analysis.sample_scan_mode(np.eye(4), "subtract", 5, 0)
+        assert str(batch.value) == str(single.value)
+
+
 class TestPurityScan:
     def test_single_mode_degenerate(self):
         v = random_pure_squeezed_cov(1, [5.0], 3)

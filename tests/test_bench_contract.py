@@ -23,7 +23,8 @@ from wignerlab.photon_ops import PhotonOpSpec
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
 DIGESTS = os.path.join(ROOT, "tests", "output_digests.json")
-#: Ops, from op 0 of seed 1, whose output parts have committed digests.
+#: Seeds, and ops from op 0 of each, whose output parts have committed digests.
+DIGEST_SEEDS = (1, 2, 3)
 DIGEST_OPS = {"scan": 8, "session": 4, "oracle": 4}
 if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
@@ -96,15 +97,17 @@ def test_first_op_bytes_survive_tracing(name, seed, tmp_path):
 
 def part_digests(name: str) -> dict[str, str]:
     """sha256 of every output part of the first ``DIGEST_OPS[name]`` ops of
-    seed 1, keyed ``op:label``.  The workdir ``w`` is relative to the current
-    directory, so that the file names some parts echo do not depend on it."""
-    workload = workloads.WORKLOADS[name](1, "w")
-    inputs = [workload.make_input(i) for i in range(DIGEST_OPS[name])]
+    each seed in ``DIGEST_SEEDS``, keyed ``seed:op:label``.  The workdir ``w``
+    is relative to the current directory, so that the file names some parts
+    echo do not depend on it."""
     digests = {}
-    for index, inp in enumerate(inputs):
-        workload.clear_opdir()
-        for label, data in workload.run(inp).parts:
-            digests[f"{index}:{label}"] = hashlib.sha256(data).hexdigest()
+    for seed in DIGEST_SEEDS:
+        workload = workloads.WORKLOADS[name](seed, "w")
+        inputs = [workload.make_input(i) for i in range(DIGEST_OPS[name])]
+        for index, inp in enumerate(inputs):
+            workload.clear_opdir()
+            for label, data in workload.run(inp).parts:
+                digests[f"{seed}:{index}:{label}"] = hashlib.sha256(data).hexdigest()
     return digests
 
 
@@ -132,6 +135,7 @@ if __name__ == "__main__":
         os.chdir(tmp)
         parts = {name: part_digests(name) for name in sorted(DIGEST_OPS)}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
-        json.dump({"seed": 1, "numpy": np.__version__, "machine": platform.machine(),
-                   "parts": parts}, fh, indent=1, sort_keys=True)
+        json.dump({"seeds": list(DIGEST_SEEDS), "numpy": np.__version__,
+                   "machine": platform.machine(), "parts": parts},
+                  fh, indent=1, sort_keys=True)
         fh.write("\n")

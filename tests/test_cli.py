@@ -719,6 +719,17 @@ class TestPurityScan:
         assert code == 4
         assert "subtraction undefined" in err
 
+    @pytest.mark.parametrize("command", ["purity-scan", "witness-scan"])
+    def test_vacuum_sampled_subtraction_exit4(self, states, capsys, tmp_path, command):
+        # every draw of every sample has zero photons; the scan gives up
+        code, _, err = run(
+            capsys, command, "--state", states["vacuum2"], "--op", "subtract",
+            "--samples", "3", "--out", tmp_path / "scan.csv",
+        )
+        assert code == 4
+        assert "every sampled mode has zero mean photon number" in err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_mixed_rejected_exit5(self, states, capsys):
         code, out, err = run(
             capsys, "purity-scan", "--state", states["mixed16"], "--op", "subtract",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wignerlab.errors import DimensionError, ModeValidationError
 from wignerlab.phase_space import (
+    _MODE_ROUNDING_TOL,
     MODE_NORM_TOL,
     apply_j,
     as_mode,
@@ -77,6 +78,50 @@ class TestModeValidation:
         # a NaN norm compares False against any bound
         with pytest.raises(ModeValidationError):
             as_mode(f)
+
+
+class TestModeStack:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_row_calls(self, m, n, seed):
+        # rows 1e-12 off unit norm are renormalised, rows within the rounding
+        # tolerance keep their bits; either way as the single call does
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2 * m))
+        target = 1.0 + rng.choice([0.0, 1e-12, -1e-12, 0.5 * _MODE_ROUNDING_TOL], size=n)
+        x *= (target / np.linalg.norm(x, axis=1))[:, None]
+        stack = as_mode(x)
+        rows = np.array([as_mode(row) for row in x])
+        assert stack.tobytes() == rows.tobytes()
+        kept = np.abs(np.linalg.norm(x, axis=1) - 1.0) <= _MODE_ROUNDING_TOL
+        assert stack[kept].tobytes() == x[kept].tobytes()
+        assert not stack.flags.writeable
+
+    def test_leading_axes(self):
+        x = np.array([[random_mode(2, 3 * i + j) for j in range(3)] for i in range(2)])
+        stack = as_mode(x)
+        assert stack.shape == (2, 3, 4)
+        assert stack.tobytes() == x.tobytes()
+
+    def test_one_row_beyond_tolerance_rejects_the_stack(self):
+        x = np.array([random_mode(2, seed) for seed in range(4)])
+        x[2] *= 1.0 + 10.0 * MODE_NORM_TOL
+        with pytest.raises(ModeValidationError, match="deviates from 1"):
+            as_mode(x)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 0), (2, 2, 5), ()])
+    def test_bad_last_axis_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            as_mode(np.ones(shape))
+
+    def test_projector_of_a_stack(self):
+        modes = np.array([random_mode(3, seed) for seed in range(4)])
+        for g, p in zip(modes, mode_projector(modes)):
+            assert mode_projector(g).tobytes() == p.tobytes()
 
 
 class TestModeProjector:

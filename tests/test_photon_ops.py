@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import grid2d, integrate2d, plane_points, random_case
-from wignerlab import photon_ops
+from wignerlab import fock, gaussian, photon_ops
 from wignerlab.errors import (
     CapacityError,
     CovarianceError,
     DimensionError,
+    ModeValidationError,
     SubtractionUndefinedError,
 )
 from wignerlab.gaussian import (
@@ -24,7 +25,12 @@ from wignerlab.gaussian import (
     random_pure_squeezed_cov,
     validate_covariance,
 )
-from wignerlab.phase_space import apply_j, mode_projector, random_mode
+from wignerlab.phase_space import (
+    apply_j,
+    complete_symplectic_basis,
+    mode_projector,
+    random_mode,
+)
 from wignerlab.photon_ops import (
     _MIXTURE_BLOCK,
     _NOISE_RANK_TOL,
@@ -62,6 +68,43 @@ class TestMeanPhotonNumber:
 
     def test_thermal(self):
         assert mean_photon_number(3.0 * np.eye(2), X1) == pytest.approx(1.0)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        n=st.integers(1, 40),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_row_calls(self, m, n, mixed, seed):
+        # 2m = 18 and 26 are sizes where rows of one BLAS product over the
+        # stack differ in the last bit from the products of single rows
+        rng = np.random.default_rng(seed)
+        v = random_mixed_cov(m, rng, max_squeezing_db=7.0, max_thermal=2.0 if mixed else 1.0)
+        modes = rng.standard_normal((n, 2 * m))
+        modes /= np.linalg.norm(modes, axis=1)[:, None]
+        stack = mean_photon_number(v, modes)
+        assert stack.shape == (n,)
+        assert stack.tobytes() == np.array([mean_photon_number(v, g) for g in modes]).tobytes()
+        grid = mean_photon_number(v, modes[None, :, :])
+        assert grid.tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("modes", [np.eye(6)[:2], np.eye(2)[:, :1], np.ones(4)])
+    def test_stack_shape_checked(self, modes):
+        with pytest.raises((DimensionError, ModeValidationError)):
+            mean_photon_number(np.eye(4), modes)
+
+    @pytest.mark.parametrize("reader", [
+        lambda g: photon_ops.PhotonOpSpec("add", g),
+        lambda g: gaussian.state_mode(g, 4),
+        lambda g: photon_ops.two_point_correlation(np.eye(4), add(X1 @ np.eye(2, 4)), g, g),
+        lambda g: fock._mode_coefficients(g, 2),
+        complete_symplectic_basis,
+    ], ids=["op", "state_mode", "two_point", "fock", "basis"])
+    def test_single_mode_readers_reject_a_stack(self, reader):
+        # as_mode accepts stacks; every reader of one mode still refuses them
+        with pytest.raises(DimensionError):
+            reader(np.eye(4)[:2])
 
 
 class TestCovarianceCorrection:
