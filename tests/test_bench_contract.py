@@ -12,6 +12,7 @@ import importlib
 import json
 import os
 import platform
+import subprocess
 import sys
 
 import numpy as np
@@ -26,6 +27,11 @@ DIGESTS = os.path.join(ROOT, "tests", "output_digests.json")
 #: Seeds, and ops from op 0 of each, whose output parts have committed digests.
 DIGEST_SEEDS = (1, 2, 3)
 DIGEST_OPS = {"scan": 8, "session": 4, "oracle": 4}
+#: The thread pins ``perfbench/run.py`` sets before numpy loads.  numpy reads
+#: them only at import, so the digests come from a child process started with
+#: them, whatever the calling environment holds.
+BLAS_PINS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS")}
 if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
 
@@ -111,8 +117,23 @@ def part_digests(name: str) -> dict[str, str]:
     return digests
 
 
+def pinned_part_digests(names, workdir: str) -> dict[str, dict[str, str]]:
+    """``part_digests`` of each workload in ``names``, computed by a child
+    Python process in ``workdir`` with ``BLAS_PINS`` set."""
+    path = [os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__)),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **BLAS_PINS, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import json, sys; from test_bench_contract import part_digests; "
+            "json.dump({n: part_digests(n) for n in sys.argv[2:]}, open(sys.argv[1], 'w'))")
+    out = os.path.join(workdir, "digests.json")
+    subprocess.run([sys.executable, "-c", code, out, *names], cwd=workdir, env=env,
+                   check=True)
+    with open(out, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", sorted(DIGEST_OPS))
-def test_output_parts_match_committed_digests(name, tmp_path, monkeypatch):
+def test_output_parts_match_committed_digests(name, tmp_path):
     # any change to the bytes a workload produces shows here, part by part;
     # a change that moves bytes on purpose rewrites the file (see below)
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -121,8 +142,8 @@ def test_output_parts_match_committed_digests(name, tmp_path, monkeypatch):
     if (record["numpy"], record["machine"]) != here:
         pytest.skip(f"digests recorded with numpy {record['numpy']} on "
                     f"{record['machine']}, running numpy {here[0]} on {here[1]}")
-    monkeypatch.chdir(tmp_path)
-    got, expected = part_digests(name), record["parts"][name]
+    assert record["env"] == BLAS_PINS
+    got, expected = pinned_part_digests([name], str(tmp_path))[name], record["parts"][name]
     moved = sorted(k for k in set(got) | set(expected) if got.get(k) != expected.get(k))
     assert not moved, f"{name} output parts moved: {', '.join(moved)}"
 
@@ -132,10 +153,9 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        parts = {name: part_digests(name) for name in sorted(DIGEST_OPS)}
+        parts = pinned_part_digests(sorted(DIGEST_OPS), tmp)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump({"seeds": list(DIGEST_SEEDS), "numpy": np.__version__,
-                   "machine": platform.machine(), "parts": parts},
+                   "machine": platform.machine(), "env": BLAS_PINS, "parts": parts},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
