@@ -123,8 +123,9 @@ def pinned_part_digests(names, workdir: str) -> dict[str, dict[str, str]]:
     path = [os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__)),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, **BLAS_PINS, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = ("import json, sys; from test_bench_contract import part_digests; "
-            "json.dump({n: part_digests(n) for n in sys.argv[2:]}, open(sys.argv[1], 'w'))")
+    code = ("import json, pathlib, sys; from test_bench_contract import part_digests; "
+            "pathlib.Path(sys.argv[1]).write_text("
+            "json.dumps({n: part_digests(n) for n in sys.argv[2:]}))")
     out = os.path.join(workdir, "digests.json")
     subprocess.run([sys.executable, "-c", code, out, *names], cwd=workdir, env=env,
                    check=True)

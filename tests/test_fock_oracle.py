@@ -128,7 +128,7 @@ class TestStateConstruction:
 
     def test_norm_deficit_recorded(self):
         r = 0.4
-        _, leak = squeezed_amplitudes(r, 20)
+        leak = _leak_tails(r, 20)[20]
         st = gaussian_fock_state(np.diag([np.exp(2 * r), np.exp(-2 * r)]), 20)
         assert st.norm_deficit == pytest.approx(leak)
         assert 0.0 < st.norm_deficit < 1e-8
@@ -220,8 +220,11 @@ def _gaussian_at_cutoff(v: np.ndarray, cutoff: int) -> FockState:
 
 
 class TestDisplacedParity:
-    """``fock_wigner`` contracts ``D^dag Pi D`` in the ladder eigenbasis; the
-    reference displaces the state and sums the parity-weighted populations."""
+    """The parity identity in the ladder eigenbasis, and ``fock_wigner``
+    against the definition: displace the state, sum the parity-weighted
+    populations.  One-mode calls take the plane path, so this pins it; for
+    ``m >= 2`` the random points take the per-point path, which is the same
+    definition, so those examples check only the plumbing around it."""
 
     @pytest.mark.parametrize("cutoff", [2, 3, 8, 80, 200, 512])
     def test_parity_reverses_ladder_eigenbasis(self, cutoff):
@@ -356,6 +359,26 @@ class TestPlanePath:
         for shape in [(0, 2 * m), (3, 0, 2 * m)]:
             out = fock_wigner(state, np.empty(shape))
             assert out.shape == shape[:-1]
+
+
+class TestPerPointPath:
+    """Multimode points off one complex line, which only the per-point path
+    evaluates, against the closed forms at criterion 1's tolerance."""
+
+    @pytest.mark.parametrize("displaced", [False, True], ids=["undisplaced", "displaced"])
+    @pytest.mark.parametrize("kind", ["add", "subtract"])
+    @pytest.mark.parametrize("m, cutoff", [(2, 40), (3, 24)])
+    def test_matches_closed_form(self, m, cutoff, kind, displaced, monkeypatch):
+        rng = np.random.default_rng(40 + m)
+        v = random_pure_squeezed_cov(m, rng.uniform(-3.0, 3.0, size=m), rng)
+        xi = rng.uniform(-0.7, 0.7, size=2 * m) if displaced else np.zeros(2 * m)
+        op = PhotonOpSpec(kind, random_mode(m, rng))
+        state, _ = apply_photon_op(displace_state(gaussian_fock_state(v, cutoff), xi), op)
+        pts = rng.normal(size=(12, 2 * m))
+        assert np.linalg.matrix_rank(_gamma(state, pts)) >= 2
+        monkeypatch.setattr(fock, "_plane_wigner", _refuse)
+        dev = np.abs(fock_wigner(state, pts) - displaced_poly_wigner(v, xi, op)(pts))
+        assert np.max(dev) < 1e-8
 
 
 class TestDisplacedStates:
@@ -674,7 +697,7 @@ class TestLeakTails:
 
     @pytest.mark.parametrize("r", [0.1, 0.7, 1.2])
     def test_tails_sum_the_squared_amplitudes(self, r):
-        sq = squeezed_amplitudes(r, 400)[0] ** 2
+        sq = squeezed_amplitudes(r, 400) ** 2
         tails = _leak_tails(r, 400)
         assert tails[0] == pytest.approx(1.0, abs=1e-14)
         for c in (2, 9, 20, 60):
