@@ -61,6 +61,17 @@ def _numbers(value, depth: int, what: str) -> np.ndarray:
         raise ParseError(f"malformed {what} data: {exc}") from exc
 
 
+def _check_structure(matrix: np.ndarray, mean, modes: int) -> None:
+    """The structure of every state file, read or written: a ``2m x 2m`` matrix,
+    ``m = modes >= 1``, a mean of ``2m`` entries or ``None``, all finite."""
+    if modes < 1 or matrix.shape != (2 * modes, 2 * modes):
+        raise ParseError(f"matrix shape {matrix.shape} does not match modes = {modes}")
+    if mean is not None and mean.shape != (2 * modes,):
+        raise ParseError("mean vector length does not match the matrix")
+    if not (np.all(np.isfinite(matrix)) and (mean is None or np.all(np.isfinite(mean)))):
+        raise ParseError("matrix and mean must hold finite numbers only")
+
+
 def load_covariance(path) -> CovarianceFile:
     """Read and structurally validate a state file.
 
@@ -93,21 +104,12 @@ def load_covariance(path) -> CovarianceFile:
     if type(modes) is not int:  # bool is a subclass of int
         raise ParseError(f"modes must be a JSON integer, got {modes!r}")
     matrix = _numbers(doc["matrix"], 2, "matrix")
-    if modes < 1 or matrix.shape != (2 * modes, 2 * modes):
-        raise ParseError(
-            f"matrix shape {matrix.shape} does not match modes = {modes}"
-        )
-    if "mean" in doc and doc["mean"] is not None:
-        mean = _numbers(doc["mean"], 1, "mean")
-        if mean.shape != (2 * modes,):
-            raise ParseError("mean vector length does not match the matrix")
-    else:
-        mean = np.zeros(2 * modes)
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(mean))):
-        raise ParseError("matrix and mean must hold finite numbers only")
+    mean = None if doc.get("mean") is None else _numbers(doc["mean"], 1, "mean")
+    _check_structure(matrix, mean, modes)
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
+    mean = np.zeros(2 * modes) if mean is None else mean
     return CovarianceFile(matrix=matrix, mean=mean, metadata=metadata)
 
 
@@ -115,18 +117,22 @@ def save_covariance(path, matrix: np.ndarray, mean=None, metadata=None) -> None:
     """Write a state file; floats keep their exact shortest repr.
 
     Raises:
-        ParseError: the file cannot be opened for writing.
+        ParseError: a matrix or mean that :func:`load_covariance` would
+            refuse (checked before the file is opened), or the file cannot be
+            opened for writing.
     """
     matrix = np.asarray(matrix, dtype=float)
-    modes = matrix.shape[0] // 2
+    mean = None if mean is None else np.asarray(mean, dtype=float)
+    modes = matrix.shape[0] // 2 if matrix.ndim else 0
+    _check_structure(matrix, mean, modes)
     doc = {
         "modes": modes,
         "ordering": ORDERING,
         "scaling": SCALING,
         "matrix": [[float(x) for x in row] for row in matrix],
     }
-    if mean is not None and np.any(np.asarray(mean) != 0.0):
-        doc["mean"] = [float(x) for x in np.asarray(mean, dtype=float)]
+    if mean is not None and np.any(mean != 0.0):
+        doc["mean"] = [float(x) for x in mean]
     if metadata:
         doc["metadata"] = metadata
     try:

@@ -81,8 +81,8 @@ from .errors import (
     DimensionError,
     SubtractionUndefinedError,
 )
-from .gaussian import (SYMPLECTIC_TOL, bloch_messiah, is_pure, state_mode,
-                       symplectic_to_unitary, williamson)
+from .gaussian import (SYMPLECTIC_TOL, bloch_messiah, gaussian_state, is_pure, state_mode,
+                       state_points, symplectic_to_unitary, williamson)
 from .phase_space import NORM_FLOOR, complete_symplectic_basis
 from .photon_ops import PhotonOpSpec
 
@@ -392,11 +392,10 @@ def gaussian_fock_state(v: np.ndarray, cutoff: int = DEFAULT_CUTOFF) -> FockStat
         DimensionError: more than ``MAX_MODES`` modes.
         ValueError: mixed covariance or squeezing beyond ``MAX_SQUEEZING``.
     """
-    v = np.asarray(v, dtype=float)
-    m = v.shape[0] // 2
-    if m > MAX_MODES:
+    state = gaussian_state(v)
+    if len(state.v) > 2 * MAX_MODES:
         raise DimensionError(f"oracle supports at most {MAX_MODES} modes")
-    wl = williamson(v)
+    wl = williamson(state)
     if not is_pure(wl):
         raise ValueError("oracle states must be pure (unit symplectic spectrum)")
     bm = bloch_messiah(wl.s)
@@ -449,23 +448,23 @@ def _apply_displacement(psi: np.ndarray, axis: int, z: complex) -> np.ndarray:
     return work * phases.reshape(shape)
 
 
+def _displace_axes(psi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``psi`` displaced by ``D(z_j)`` along each axis ``j`` in turn."""
+    for j, zj in enumerate(z):
+        psi = _apply_displacement(psi, j, zj)
+    return psi
+
+
 def displace_state(state: FockState, xi: np.ndarray) -> FockState:
     """Displace by the phase-space vector ``xi`` (mean shifts by ``+xi``).
 
     Raises:
-        DimensionError: ``xi`` is not a phase-space vector of the state.
+        DimensionError: ``xi`` is not one phase-space point of the state.
         ValueError: ``xi`` is not finite.
     """
-    xi = np.asarray(xi, dtype=float)
     m = state.modes
-    if xi.shape != (2 * m,):
-        raise DimensionError("displacement dimension does not match the state")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    psi = state.amplitudes.astype(complex)
-    for j in range(m):
-        z = 0.5 * (xi[j] + 1j * xi[m + j])
-        psi = _apply_displacement(psi, j, z)
+    xi = state_points(xi, 2 * m, "displacement xi", one=True)
+    psi = _displace_axes(state.amplitudes.astype(complex), 0.5 * (xi[:m] + 1j * xi[m:]))
     return FockState(psi, state.norm_deficit)
 
 
@@ -492,12 +491,8 @@ def fock_wigner(state: FockState, beta) -> np.ndarray:
         DimensionError: ``beta`` is not a stack of phase-space points.
         ValueError: ``beta`` is not finite.
     """
-    beta = np.asarray(beta, dtype=float)
     m = state.modes
-    if beta.ndim == 0 or beta.shape[-1] != 2 * m:
-        raise DimensionError("point dimension does not match the state")
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("beta must be finite")
+    beta = state_points(beta, 2 * m)
     pts = beta.reshape(-1, 2 * m)
     gamma = 0.5 * (pts[:, :m] + 1j * pts[:, m:])
     out = np.empty(0)
@@ -520,10 +515,7 @@ def _point_wigner(state: FockState, gamma: np.ndarray) -> np.ndarray:
     parity = 1.0 - 2.0 * (np.indices(state.amplitudes.shape).sum(axis=0) % 2)
     out = np.empty(len(gamma))
     for i, row in enumerate(gamma):
-        psi = state.amplitudes
-        for j, g in enumerate(row):
-            psi = _apply_displacement(psi, j, -g)
-        out[i] = np.sum(parity * np.abs(psi) ** 2)
+        out[i] = np.sum(parity * np.abs(_displace_axes(state.amplitudes, -row)) ** 2)
     return out
 
 
@@ -567,19 +559,12 @@ def fock_characteristic(state: FockState, alpha) -> complex:
     """``<exp(i Q(alpha))>`` via per-mode displacements ``D(i lambda_j)``.
 
     Raises:
-        DimensionError: ``alpha`` is not a phase-space vector of the state.
+        DimensionError: ``alpha`` is not one phase-space point of the state.
         ValueError: ``alpha`` is not finite.
     """
-    alpha = np.asarray(alpha, dtype=float)
     m = state.modes
-    if alpha.shape != (2 * m,):
-        raise DimensionError("characteristic argument does not match the state")
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha must be finite")
-    psi = state.amplitudes
-    for j in range(m):
-        lam = alpha[j] + 1j * alpha[m + j]
-        psi = _apply_displacement(psi, j, 1j * lam)
+    alpha = state_points(alpha, 2 * m, "alpha", one=True)
+    psi = _displace_axes(state.amplitudes, 1j * (alpha[:m] + 1j * alpha[m:]))
     return complex(np.vdot(state.amplitudes, psi))
 
 

@@ -4,12 +4,14 @@ A state of ``m`` modes is a real symmetric ``2m x 2m`` matrix ``V`` in xxpp
 ordering with the vacuum equal to the identity, plus an optional mean vector.
 Physicality means every symplectic eigenvalue is at least one.
 
-Every reader of a covariance, here and in :mod:`.photon_ops` and
-:mod:`.analysis`, takes an array or a :class:`GaussianState`.
-:func:`gaussian_state` is the one entry gate (entries finite and at most
-``MAX_ENTRY``, symmetry within ``SYMMETRY_TOL``) and passes a state through
-unchanged; the state computes ``V^-1``, ``log det V`` and the Williamson
-normal form once each, on first use, for all the readers it is handed to.
+Every reader, here and in :mod:`.photon_ops`, :mod:`.analysis` and
+:mod:`.fock`, passes its inputs through three gates.  A covariance, an array
+or a :class:`GaussianState`, passes :func:`gaussian_state` (entries finite and
+at most ``MAX_ENTRY``, symmetry within ``SYMMETRY_TOL``), which lets a state
+through unchanged; the state computes ``V^-1``, ``log det V`` and the
+Williamson normal form once each, on first use, for all the readers it is
+handed to.  A mode passes :func:`state_mode`, and a point, displacement or
+characteristic-function argument :func:`state_points`.
 
 The two workhorse factorisations live here as well:
 
@@ -168,6 +170,22 @@ def state_mode(g, dim: int) -> np.ndarray:
     return g
 
 
+def state_points(x, dim: int, what: str = "beta", one: bool = False) -> np.ndarray:
+    """``x`` as floats, phase-space points of a state of ``dim = 2m``
+    quadratures, batched on leading axes unless ``one``; the one point check
+    of every reader: ``DimensionError`` for a scalar, a last axis other than
+    ``dim`` or a stack where ``one`` point is required, ``ValueError`` for an
+    entry that is not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != dim or (one and x.ndim != 1):
+        points = "one phase-space point" if one else "a phase-space point or a stack of them"
+        raise DimensionError(f"{what} of shape {x.shape} is not {points} "
+                             f"in 2m = {dim} quadratures")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 def quadratic_form(b, mat: np.ndarray) -> np.ndarray:
     """``(b, M b)`` over the last axis of ``b``, batched over its leading axes.
 
@@ -196,11 +214,8 @@ def gaussian_wigner(v, beta: np.ndarray, mean=None) -> np.ndarray:
     """
     state = gaussian_state(v)
     m = state.v.shape[0] // 2
-    beta = np.asarray(beta, dtype=float)
-    mean = np.zeros(2 * m) if mean is None else np.asarray(mean, dtype=float)
-    if beta.shape[-1] != 2 * m or mean.shape != (2 * m,):
-        raise DimensionError(f"point dimension {beta.shape[-1]} or mean shape "
-                             f"{mean.shape} does not match 2m = {2 * m}")
+    beta = state_points(beta, 2 * m)
+    mean = np.zeros(2 * m) if mean is None else state_points(mean, 2 * m, "mean", one=True)
     if np.any(mean):  # a zero mean would copy the points
         beta = beta - mean
     logdet = state.logdet  # a singular V raises here, before the inverse

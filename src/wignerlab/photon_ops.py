@@ -64,6 +64,7 @@ from .gaussian import (
     gaussian_wigner,
     quadratic_form,
     state_mode,
+    state_points,
     validate_covariance,
     williamson,
 )
@@ -243,9 +244,7 @@ def characteristic_function(v, op: PhotonOpSpec, alpha) -> np.ndarray:
     """
     state = gaussian_state(v)
     v, a = state.v, covariance_correction(state, op)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape[-1] != v.shape[0]:
-        raise DimensionError("alpha dimension does not match the state")
+    alpha = state_points(alpha, len(v), "alpha")
     qa, qv = quadratic_form(alpha, a), quadratic_form(alpha, v)
     val = (1.0 - 0.5 * qa) * np.exp(-0.5 * qv)
     return val if val.ndim else float(val)
@@ -299,7 +298,7 @@ class PolyGaussianWigner:
 
         Shifts the base mean and recentres the polynomial accordingly.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = state_points(xi, self.dim, "displacement xi", one=True)
         return PolyGaussianWigner(
             quad=self.quad,
             lin=self.lin - 2.0 * self.quad @ xi,
@@ -315,14 +314,11 @@ class PolyGaussianWigner:
 def _wigner_factors(w: PolyGaussianWigner, beta) -> tuple[np.ndarray, np.ndarray]:
     """The polynomial factor ``b.M b + lin.b + const`` and the Gaussian factor
     ``N(b; mean, cov)`` of ``w`` at ``beta``, batched over leading axes; the
-    Wigner value is their product."""
+    Wigner value is their product; the points pass their gate in
+    :func:`gaussian_wigner`."""
+    gauss = gaussian_wigner(w.state, beta, mean=w.mean)
     beta = np.asarray(beta, dtype=float)
-    if beta.shape[-1] != w.dim:
-        raise DimensionError(
-            f"point dimension {beta.shape[-1]} does not match {w.dim}"
-        )
-    poly = quadratic_form(beta, w.quad) + beta @ w.lin + w.const
-    return poly, gaussian_wigner(w.state, beta, mean=w.mean)
+    return quadratic_form(beta, w.quad) + beta @ w.lin + w.const, gauss
 
 
 def evaluate_wigner(w: PolyGaussianWigner, beta) -> np.ndarray:
@@ -430,9 +426,7 @@ def displaced_poly_wigner(v_base, xi: np.ndarray, op: PhotonOpSpec) -> PolyGauss
     state = gaussian_state(v_base)
     v = state.v
     plane = mode_plane(state_mode(op.mode, len(v)))
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (len(v),):
-        raise DimensionError("displacement dimension does not match the state")
+    xi = state_points(xi, len(v), "displacement xi", one=True)
     s = float(op.sign)
     xi_g = xi @ plane
     den = float(np.trace(plane.T @ v @ plane) + xi_g @ xi_g) + 2.0 * s
@@ -469,9 +463,9 @@ def displacement_density(
     v_noise = gaussian_state(v_noise).v
     s = float(op.sign)
     plane = mode_plane(state_mode(op.mode, len(v_pure)))
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1:] != (len(v_pure),) or v_noise.shape != v_pure.shape:
-        raise DimensionError("displacement or noise dimension does not match the pure part")
+    xi = state_points(xi, len(v_pure), "displacement xi")
+    if v_noise.shape != v_pure.shape:
+        raise DimensionError("noise dimension does not match the pure part")
     squeeze = xi.ndim == 1
     xi2 = np.atleast_2d(xi)
 
@@ -534,11 +528,9 @@ def mixture_reconstruction(
     state = gaussian_state(v)
     dim = state.v.shape[0]
     plane = mode_plane(state_mode(op.mode, dim))
-    beta = np.asarray(beta, dtype=float)
+    beta = state_points(beta, dim)
     squeeze = beta.ndim == 1
     pts = np.atleast_2d(beta)
-    if pts.shape[-1] != dim:
-        raise DimensionError("point dimension does not match the state")
 
     v_pure, v_noise = decompose_pure_noise(state)
     pure = gaussian_state(v_pure)  # one inverse for every point

@@ -68,6 +68,21 @@ class TestRoundTrip:
         loaded = load_covariance(path)
         assert np.array_equal(loaded.mean, mean)
 
+    @pytest.mark.parametrize("matrix, mean", [
+        (np.diag([np.nan, 1.0]), None),
+        (np.eye(2), [0.0, np.inf]),
+        (np.eye(3), None),
+        (np.eye(2), [0.0, 1.0, 0.0]),
+        (np.ones(4), None),
+        (np.array(1.0), None),
+    ], ids=["nan-entry", "inf-mean", "odd-square", "mean-length", "one-dimensional",
+            "scalar"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, matrix, mean):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ParseError):
+            save_covariance(path, matrix, mean=mean)
+        assert not path.exists()
+
     def test_photon_op_commands_require_zero_mean(self, tmp_path, capsys):
         path = tmp_path / "displaced.json"
         save_covariance(path, np.diag([0.5, 2.0]), mean=[1.0, 0.0])

@@ -560,8 +560,9 @@ class TestDimensionChecks:
         lambda state, g: fock_truncated_correlation(state, [g, g]),
         lambda state, g: fock_mean_photon(state, g),
         lambda state, g: fock_characteristic(state, 0.5 * g),
+        lambda state, g: gaussian_fock_state(3.0, 10),  # gated before its shape is read
     ], ids=["apply_photon_op", "fock_truncated_correlation", "fock_mean_photon",
-            "fock_characteristic"])
+            "fock_characteristic", "gaussian_fock_state-scalar"])
     def test_two_mode_vector_on_one_mode_state(self, call):
         with pytest.raises(DimensionError):
             call(self.ONE_MODE, self.TWO_MODE_VECTOR)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import grid2d, integrate2d
 from wignerlab.analysis import plane_scan
-from wignerlab.errors import CovarianceError, SymplecticError
+from wignerlab.errors import CovarianceError, DimensionError, SymplecticError
+from wignerlab.fock import displace_state, fock_characteristic, fock_wigner, vacuum_state
 from wignerlab.gaussian import (
     MAX_ENTRY,
     GaussianState,
@@ -27,8 +28,11 @@ from wignerlab.gaussian import (
 from wignerlab.photon_ops import (
     PolyGaussianWigner,
     add,
+    characteristic_function,
     covariance_correction,
     decompose_pure_noise,
+    displaced_poly_wigner,
+    displacement_density,
     mean_photon_number,
     mixture_reconstruction,
     nongaussian_wigner,
@@ -119,6 +123,62 @@ class TestSpectralGate:
         nu = symplectic_eigenvalues(v)
         assert np.allclose(nu, ref, rtol=1e-10, atol=0.0)
         assert np.allclose(williamson(v).nu, nu, rtol=1e-12, atol=0.0)
+
+
+class TestPointGate:
+    """One gate for phase-space points: every reader of a point, a
+    displacement or a characteristic-function argument raises
+    ``DimensionError`` for a bad shape and ``ValueError`` for a non-finite
+    entry, before any arithmetic."""
+
+    X = np.array([1.0, 0.0])
+    V = np.diag([0.5, 2.0])
+    W = nongaussian_wigner(V, add(X))
+    FOCK = vacuum_state(1, 8)
+    # reader, and whether it takes one point only (else a stack)
+    READERS = {
+        "gaussian_wigner": (lambda x: gaussian_wigner(TestPointGate.V, x), False),
+        "gaussian_wigner-mean": (
+            lambda x: gaussian_wigner(TestPointGate.V, np.zeros(2), mean=x), True),
+        "evaluate_wigner": (lambda x: TestPointGate.W(x), False),
+        "characteristic_function": (
+            lambda x: characteristic_function(TestPointGate.V, add(TestPointGate.X), x),
+            False),
+        "translate": (lambda x: TestPointGate.W.translate(x), True),
+        "displaced_poly_wigner": (
+            lambda x: displaced_poly_wigner(TestPointGate.V, x, add(TestPointGate.X)), True),
+        "displacement_density": (
+            lambda x: displacement_density(np.eye(2), 0.5 * np.eye(2), x,
+                                           add(TestPointGate.X)), False),
+        "mixture_reconstruction": (
+            lambda x: mixture_reconstruction(2.0 * np.eye(2), add(TestPointGate.X), x, 4, 0),
+            False),
+        "fock_wigner": (lambda x: fock_wigner(TestPointGate.FOCK, x), False),
+        "displace_state": (lambda x: displace_state(TestPointGate.FOCK, x), True),
+        "fock_characteristic": (lambda x: fock_characteristic(TestPointGate.FOCK, x), True),
+    }
+    BAD = {
+        "scalar": (3.0, DimensionError),
+        "wrong-axis": (np.zeros(3), DimensionError),
+        # a stack where one point is required; readers of a stack get an
+        # infinite entry in its second row instead
+        "stack": (np.zeros((2, 2)), DimensionError),
+        "nan": (np.array([np.nan, 0.0]), ValueError),
+        "inf": (np.array([0.0, -np.inf]), ValueError),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case", BAD)
+    def test_bad_point_rejected(self, reader, case):
+        call, one = self.READERS[reader]
+        x, error = self.BAD[case]
+        if case == "stack" and not one:
+            x, error = np.array([[0.0, 0.0], [np.inf, 0.0]]), ValueError
+        with pytest.raises(error, match="phase-space point" if error is DimensionError
+                           else "finite") as err:
+            call(x)
+        if error is ValueError:
+            assert not isinstance(err.value, DimensionError)
 
 
 class TestGaussianState:
